@@ -19,7 +19,9 @@ allocation-free engine hot paths), in two stages:
   (the v1/v2 break is versioned), so both sides' measured values are
   recorded, each deterministic under its own stream.  (Excluded from
   the CI smoke budget via ``-k "not pipeline"``; the weekly scale job
-  refreshes the committed ``BENCH_scale_1e6.json``.)
+  refreshes the committed ``BENCH_scale_1e6.json``.)  The batched trial
+  runs under the phase profiler, so the artifact's ``phases`` block
+  splits its wall clock into sample / csr_build / engine / result_build.
 """
 
 from conftest import record, timed_once, write_artifact
@@ -88,18 +90,22 @@ def test_sleeping_1e6_pipeline_speedup(benchmark):
         )
 
     def run(graph_rng):
-        start = time.perf_counter()
-        rows = sweep(
-            plan=plan_for(graph_rng), sizes=(N,), trials=1, seed0=SEED0,
-        )
-        return rows, time.perf_counter() - start
+        # Untraced: phase spans without tracemalloc keep both sides'
+        # wall clocks (and so the asserted speedup) honest.
+        with profile_phases() as prof:
+            start = time.perf_counter()
+            rows = sweep(
+                plan=plan_for(graph_rng), sizes=(N,), trials=1, seed0=SEED0,
+            )
+            elapsed = time.perf_counter() - start
+        return rows, elapsed, prof
 
     def measure():
-        legacy_rows, legacy_s = run("legacy")
-        batched_rows, batched_s = run("batched")
-        return legacy_rows, legacy_s, batched_rows, batched_s
+        legacy_rows, legacy_s, _ = run("legacy")
+        batched_rows, batched_s, prof = run("batched")
+        return legacy_rows, legacy_s, batched_rows, batched_s, prof
 
-    (legacy_rows, legacy_s, batched_rows, batched_s), _ = timed_once(
+    (legacy_rows, legacy_s, batched_rows, batched_s, prof), _ = timed_once(
         benchmark, measure
     )
 
@@ -148,4 +154,5 @@ def test_sleeping_1e6_pipeline_speedup(benchmark):
             "legacy_sampler": round(legacy_rows[0].node_averaged_awake, 3),
             "batched_sampler": round(batched_rows[0].node_averaged_awake, 3),
         },
+        phases=prof.report(),
     )

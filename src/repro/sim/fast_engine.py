@@ -13,6 +13,9 @@ the participant set per communication step.  That is what this module does:
   sub-call only ever touches edges inside its own ``G[U]``;
 * awake/``inMIS``/coin state are per-node int arrays; the base case of
   Algorithm 2 additionally keeps a per-directed-edge ``live`` bit array;
+* a call's three broadcast rounds (Parts 2, 4 and 5) are booked at once
+  as a per-node round count, from which the awake/tx/idle/message/bit
+  columns are derived at result build -- no per-edge counters;
 * the wall clock is never stepped at all -- round numbers are computed from
   the schedule formulas, which is the generator engine's fast-forward trick
   taken to its limit.  Algorithm 1's :math:`\\Theta(n^3)` wall-clock
@@ -331,8 +334,8 @@ class GraphArrays:
     int32 halves the edge memory that dominates at n = 10^4..10^5) plus
     ``deg`` at 8 bytes per node (kept int64 because it feeds straight into
     the int64 message/bit accumulators).  A gnp(10^5, 10/n) graph is
-    m ~ 2x10^6 directed edges ~ 24 MB of edge arrays; per-run engine state
-    adds ~13 int64/int8 node arrays and one bool per edge.
+    m ~ 2x10^6 directed edges ~ 24 MB of edge arrays; per-run sleeping
+    engine state adds 104 bytes per node and one bool per edge.
     """
 
     __slots__ = (
@@ -980,15 +983,16 @@ class VectorizedEngine:
         # Per-directed-edge live bits for the greedy base cases; each base
         # call touches only its own in-call edge subset, so one zeroed
         # buffer per run serves every call (set at entry, cleared at exit).
+        # The only per-edge state of the engine.
         self._live_edges = scratch.take("live_edges", arrays.m, bool, fill=False)
-        # Per-edge broadcast participation, accumulated by _broadcast and
-        # flattened into ``mrecv`` once at result build.  Replacing the
-        # historical per-call ``bincount(minlength=n)`` + O(n) ``mrecv``
-        # add with an O(in-call edges) counter bump is what makes a
-        # deep-recursion broadcast cost the call's size, not the graph's.
-        self._edge_rounds = scratch.take(
-            "edge_rounds", arrays.m, np.int64, fill=0
-        )
+        # Deferred broadcast rounds: each node's count of all-neighbor
+        # 2-bit flag rounds (Parts 2/4/5, base-case discovery).  Its share
+        # of awake/tx/idle/msent/bits is derived once at result build.
+        # int32 suffices: at most 3 rounds per recursion level.
+        self.bcast = scratch.take("bcast", n, np.int32, fill=0)
+        # Set-use-clear run-length buffer of _in_call_degrees (a node's
+        # degree fits int32, as every CSR index does).
+        self._indeg_buf = scratch.take("indeg_buf", n, np.int32, fill=0)
         # Global-to-local node index map for the greedy base cases
         # (set-before-use only: each base call writes its own participants
         # before reading, so stale entries are never observed).
@@ -1018,111 +1022,128 @@ class VectorizedEngine:
                 raise MaxRoundsExceededError(self.max_rounds, self.n)
 
             everyone = np.arange(self.n, dtype=np.int64)
-            all_edges = np.arange(len(self.src), dtype=np.int64)
-            self._recurse(everyone, all_edges, self.depth, 0)
+            all_edges = np.arange(self.arrays.m, dtype=np.int32)
+            self._recurse(everyone, all_edges, self.deg, self.depth, 0, 0)
             return self._build_result(total_rounds)
 
     # ------------------------------------------------------------------
     # The recursion (SleepingMISRecursive, Parts 2-6).
     # ------------------------------------------------------------------
 
-    def _recurse(self, U: np.ndarray, E: np.ndarray, k: int, r: int) -> None:
+    def _recurse(
+        self,
+        U: np.ndarray,
+        E: np.ndarray,
+        indeg: np.ndarray,
+        k: int,
+        r: int,
+        lag: int,
+    ) -> None:
         """One call over participant indices ``U`` starting at round ``r``.
 
         ``E`` holds the indices of the directed edges with *both* endpoints
         in ``U`` -- exactly the message deliveries of this call's rounds.
+        Both are ascending, so ``src[E]`` is sorted and splits into one
+        segment per node of ``U``; ``indeg`` holds the segment lengths
+        (each node's degree in ``G[U]``, zero for in-call isolated nodes)
+        and every source-side edge mask is a ``np.repeat`` of a node flag.
+
+        ``lag`` counts the broadcast rounds already booked in ``bcast`` but
+        not yet reached on the wall clock, identical for every node of the
+        call because they share its ancestor path: each ancestor whose
+        *left* recursion encloses this call still owes its Parts 4 and 5.
         """
         if k == 0:
             if self.algorithm == "sleeping":
-                self._decide(U, True, r)
+                self._decide(U, True, r, lag)
             else:
-                self._greedy_base(U, E, r)
+                self._greedy_base(U, E, indeg, r, lag)
             return
 
         if len(U) == 1:
-            self._singleton_call(int(U[0]), k, r)
+            self._singleton_call(int(U[0]), k, r, lag)
             return
 
         d_sub = self._duration(k - 1)
-        se, de = self.src[E], self.dst[E]
+        # Parts 2, 4 and 5 are one broadcast each, by all of U over all of
+        # E: book the three at once.  Nothing reads the broadcast-fed
+        # columns mid-run except awake_at_decision, which subtracts the
+        # rounds still ahead (+2 in Part 2, +1 in Part 4).
+        self._broadcast(U, indeg, 3)
+        # The top call's E is every edge: its receivers need no gather.
+        de = self.dst if len(E) == self.arrays.m else self.dst[E]
 
-        # Part 2 -- first isolated node detection.  A node is isolated in
-        # G[U] exactly when no in-call edge points at it; the shared mask
-        # (set-use-clear) keeps this O(|U| + |E|) instead of counting
-        # deliveries into an O(n) array.
-        self._broadcast(U, E, de, r)
-        has_nbr = self._nbr_mask
-        has_nbr[de] = True
-        iso = U[~has_nbr[U]]
-        has_nbr[de] = False
+        # Every selection below is ``compress``, not boolean indexing: on
+        # the call's random masks numpy's ``a[mask]`` is ~3-4x slower.
+
+        # Part 2 -- first isolated node detection: no in-call edge at all.
+        iso = U.compress(indeg == 0)
         if len(iso):
-            self._decide(iso, True, r + 1)
+            self._decide(iso, True, r + 1, lag + 2)
 
         # Part 3 -- left recursion; everyone else sleeps through it.
         left = (self.in_mis[U] == -1) & self._coin_heads(U, k)
-        L = U[left]
         if d_sub > 0:
-            self.sleep[U[~left]] += d_sub
-        if len(L):
-            self._recurse(L, self._subedges(L, E, se, de), k - 1, r + 1)
+            self.sleep[U.compress(~left)] += d_sub
+        if left.any():
+            self._recurse(
+                *self._subcall(U, E, indeg, de, left), k - 1, r + 1, lag + 2
+            )
 
         # Part 4 -- synchronization and elimination.  The neighbor-flag
         # masks borrow one shared buffer (set, read, clear by the same
         # indices) instead of zeroing a fresh O(n) array per call.
         r1 = r + 1 + d_sub
-        self._broadcast(U, E, de, r1)
+        state = self.in_mis[U]
         has_mis_nbr = self._nbr_mask
-        mis_heads = de[self.in_mis[se] == 1]
+        mis_heads = de.compress(np.repeat(state == 1, indeg))
         has_mis_nbr[mis_heads] = True
-        elim = U[(self.in_mis[U] == -1) & has_mis_nbr[U]]
+        elim = U.compress((state == -1) & has_mis_nbr[U])
         has_mis_nbr[mis_heads] = False
         if len(elim):
-            self._decide(elim, False, r1 + 1)
+            self._decide(elim, False, r1 + 1, lag + 1)
 
         # Part 5 -- second isolated node detection.
         r2 = r1 + 1
-        self._broadcast(U, E, de, r2)
+        state = self.in_mis[U]
         has_undecided_or_mis_nbr = self._nbr_mask
-        loud_heads = de[self.in_mis[se] != 0]
+        loud_heads = de.compress(np.repeat(state != 0, indeg))
         has_undecided_or_mis_nbr[loud_heads] = True
-        join = U[(self.in_mis[U] == -1) & ~has_undecided_or_mis_nbr[U]]
+        join = U.compress((state == -1) & ~has_undecided_or_mis_nbr[U])
         has_undecided_or_mis_nbr[loud_heads] = False
         if len(join):
-            self._decide(join, True, r2 + 1)
+            self._decide(join, True, r2 + 1, lag)
 
         # Part 6 -- right recursion; everyone else sleeps through it.
         right = self.in_mis[U] == -1
-        R = U[right]
         if d_sub > 0:
-            self.sleep[U[~right]] += d_sub
-        if len(R):
-            self._recurse(R, self._subedges(R, E, se, de), k - 1, r2 + 1)
+            self.sleep[U.compress(~right)] += d_sub
+        if right.any():
+            self._recurse(
+                *self._subcall(U, E, indeg, de, right), k - 1, r2 + 1, lag
+            )
 
-    def _singleton_call(self, u: int, k: int, r: int) -> None:
+    def _singleton_call(self, u: int, k: int, r: int, lag: int) -> None:
         """Closed form for a call whose participant set is one node.
 
         With nobody else awake the node hears nothing in Part 2, decides
         ``isolated`` immediately, then (already decided) sleeps through
         both sub-calls and broadcasts its announcements alone in Parts 4
-        and 5 -- three awake rounds total, no recursion.  Near the leaves
-        most calls are singletons, so bypassing the array machinery here
-        is a real constant-factor win.
+        and 5 -- three broadcast rounds total, no recursion.  Near the
+        leaves most calls are singletons, so bypassing the array machinery
+        here is a real constant-factor win.
         """
         assert self.in_mis[u] == -1
-        deg = int(self.deg[u])
-        self.awake[u] += 3
-        if deg > 0:
-            self.tx[u] += 3
-            self.msent[u] += 3 * deg
-            self.bits[u] += 3 * _FLAG_BITS * deg
-        else:
-            self.idle[u] += 3
+        self.bcast[u] += 3
         d_sub = self._duration(k - 1)
         if d_sub > 0:
             self.sleep[u] += 2 * d_sub
         self.in_mis[u] = 1
         self.decision_round[u] = r + 1
-        self.awake_at_decision[u] = self.awake[u] - 2  # after Part 2 only
+        # After Part 2 only: Parts 4 and 5 are still ahead.
+        self.awake_at_decision[u] = (
+            self.awake[u] + self.bcast[u] - (lag + 2)
+        )
 
     def _coin_heads(self, U: np.ndarray, k: int) -> np.ndarray:
         """The level-``k`` coins of participants ``U`` (True = recurse left).
@@ -1136,56 +1157,87 @@ class VectorizedEngine:
         u = draw_u64_array(self._key, U, np.int64(k - 1))
         return u64_to_unit_float(u) < self.coin_bias
 
-    def _subedges(
-        self, S: np.ndarray, E: np.ndarray, se: np.ndarray, de: np.ndarray
-    ) -> np.ndarray:
-        """Edges of ``E`` (endpoints ``se``/``de``) inside sub-set ``S``."""
+    def _subcall(
+        self,
+        U: np.ndarray,
+        E: np.ndarray,
+        indeg: np.ndarray,
+        de: np.ndarray,
+        flag: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(S, E_S, indeg_S)`` of the sub-call over ``S = U[flag]``.
+
+        An edge of ``E`` stays when its source is flagged (a repeat of the
+        node flag over the source segments) and its receiver ``de`` is in
+        ``S`` (the shared set-use-clear node mask).
+        """
+        S = U.compress(flag)
         inS = self._sub_mask
         inS[S] = True
-        both = inS[se]
-        both &= inS[de]  # in place: one |E|-sized temporary, not two
-        sub = E[both]
+        both = inS[de]
         inS[S] = False
-        return sub
+        both &= np.repeat(flag, indeg)
+        sub = E.compress(both)
+        return S, sub, self._in_call_degrees(S, sub)
 
-    def _broadcast(
-        self, U: np.ndarray, E: np.ndarray, de: np.ndarray, r: int
-    ) -> None:
-        """One awake round in which every node of ``U`` sends a 2-bit flag
-        to *all* its graph neighbors (presence or ``inMIS`` announcement).
+    def _in_call_degrees(self, S: np.ndarray, sub: np.ndarray) -> np.ndarray:
+        """Per-node segment lengths of the sorted ``src[sub]`` over ``S``.
 
-        ``E``/``de`` are the in-call edges and their receiver endpoints
-        (deliveries only happen between awake nodes).  Received-message
-        accounting is *deferred*: each in-call edge bumps its
-        ``_edge_rounds`` counter, and ``_build_result`` flattens the
-        counters into ``mrecv`` with one weighted bincount -- so a
-        broadcast costs O(|U| + |E|), never O(n).  Classification matches
-        the generator engine: senders with at least one port are tx
-        rounds; port-less nodes are awake-and-silent, hence idle.
+        One run-length pass finds the segment heads; their lengths land
+        in the node-sized buffer (set), are gathered in ``S`` order (use)
+        and wiped by the same heads (clear), so the pass costs
+        ``O(|S| + |sub|)``, never ``O(n)``.
         """
-        deg = self.deg[U]
-        self.awake[U] += 1
-        if self._no_isolated:
-            self.tx[U] += 1
-        else:
-            self.tx[U[deg > 0]] += 1
-            self.idle[U[deg == 0]] += 1
-        self.msent[U] += deg
-        self.bits[U] += _FLAG_BITS * deg
-        self._edge_rounds[E] += 1
+        if not len(sub):
+            return np.zeros(len(S), dtype=np.int32)
+        se = self.src[sub]
+        head = np.empty(len(se), dtype=bool)
+        head[0] = True
+        np.not_equal(se[1:], se[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        nodes = se[starts]
+        buf = self._indeg_buf
+        buf[nodes] = np.diff(starts, append=len(se))
+        indeg = buf[S]
+        buf[nodes] = 0
+        return indeg
 
-    def _decide(self, nodes: np.ndarray, value: bool, clock: int) -> None:
-        """Fix ``inMIS`` for ``nodes`` at wall-clock ``clock``, exactly once."""
+    def _broadcast(self, U: np.ndarray, indeg: np.ndarray, times: int) -> None:
+        """``times`` awake rounds in which every node of ``U`` sends a 2-bit
+        flag to *all* its graph neighbors (presence or ``inMIS``
+        announcement) and hears one from each in-call neighbor.
+
+        Only the round count is booked here; ``_build_result`` turns it
+        into awake/tx/idle/msent/bits with the graph degree (senders with
+        at least one port are tx rounds, port-less nodes awake-and-silent,
+        hence idle -- the generator engine's classification).  Receipts
+        are ``times * indeg``: deliveries only happen between awake nodes.
+        """
+        self.bcast[U] += times
+        self.mrecv[U] += times * indeg
+
+    def _decide(
+        self, nodes: np.ndarray, value: bool, clock: int, lag: int
+    ) -> None:
+        """Fix ``inMIS`` for ``nodes`` at wall-clock ``clock``, exactly once.
+
+        ``lag`` is the number of booked broadcast rounds still ahead of
+        ``clock`` for these nodes (see :meth:`_recurse`).
+        """
         assert (self.in_mis[nodes] == -1).all(), "re-deciding a node"
         self.in_mis[nodes] = 1 if value else 0
         self.decision_round[nodes] = clock
-        self.awake_at_decision[nodes] = self.awake[nodes]
+        self.awake_at_decision[nodes] = (
+            self.awake[nodes] + self.bcast[nodes] - lag
+        )
 
     # ------------------------------------------------------------------
     # Algorithm 2's greedy base case, in a fixed window of W rounds.
     # ------------------------------------------------------------------
 
-    def _greedy_base(self, U: np.ndarray, E: np.ndarray, r: int) -> None:
+    def _greedy_base(
+        self, U: np.ndarray, E: np.ndarray, indeg: np.ndarray, r: int, lag: int
+    ) -> None:
         """The base case, computed in the call's **local index space**.
 
         Every per-node array here has length ``|U|`` (slot ``i`` is global
@@ -1206,14 +1258,7 @@ class VectorizedEngine:
             # drawn (stream alignment!), and the loop head immediately
             # decides isolated-among-survivors.
             u = int(U[0])
-            deg = int(self.deg[u])
-            self.awake[u] += 1
-            if deg > 0:
-                self.tx[u] += 1
-                self.msent[u] += deg
-                self.bits[u] += _FLAG_BITS * deg
-            else:
-                self.idle[u] += 1
+            self.bcast[u] += 1
             if self._rngs is not None:
                 randbelow(self._rngs[u], self._rank_bound)
             else:
@@ -1221,22 +1266,25 @@ class VectorizedEngine:
             assert self.in_mis[u] == -1
             self.in_mis[u] = 1
             self.decision_round[u] = r + 1
-            self.awake_at_decision[u] = self.awake[u]
+            self.awake_at_decision[u] = self.awake[u] + self.bcast[u] - lag
             if W > 1:
                 self.sleep[u] += W - 1
             return
 
         nu = len(U)
-        es_g, ed_g, erev = self.src[E], self.dst[E], self.grev[E]
+        # Sources come from the segment structure (slot i repeated
+        # indeg[i] times); receivers through the local index map.
+        es = np.repeat(np.arange(nu, dtype=np.int32), indeg)
+        erev = self.grev[E]
         local = self._local_index
         local[U] = np.arange(nu, dtype=np.int32)
-        es, ed = local[es_g], local[ed_g]
+        ed = local[self.dst[E]]
 
         # Neighbor discovery inside G[U]: live sets start as the in-call
         # neighborhoods, kept as per-directed-edge bits over E (borrowing
         # the run-level buffer; cleared again at the loop's exit).
-        self._broadcast(U, E, ed_g, r)
-        live_cnt = np.bincount(ed, minlength=nu)
+        self._broadcast(U, indeg, 1)
+        live_cnt = indeg
         live = self._live_edges
         live[E] = True
         mrecv = np.zeros(nu, dtype=np.int64)
@@ -1262,7 +1310,7 @@ class VectorizedEngine:
             # nodes and everyone out of window leave the loop.
             iso = inloop & undecided & (live_cnt == 0)
             if iso.any():
-                self._decide(U[iso], True, r + used)
+                self._decide(U[iso], True, r + used, lag)
                 undecided &= ~iso
             leaving = inloop & (~undecided | (used + 3 > W))
             if leaving.any():
@@ -1293,7 +1341,7 @@ class VectorizedEngine:
             np.maximum.at(best_rank, ed[keyed], rank[es[keyed]])
             top = keyed & (rank[es] == best_rank[ed])
             best_id = np.full(nu, -1, dtype=np.int64)
-            np.maximum.at(best_id, ed[top], es_g[top])
+            np.maximum.at(best_id, ed[top], U[es[top]])
             joined = (
                 inloop
                 & (key_cnt == live_cnt)
@@ -1301,7 +1349,7 @@ class VectorizedEngine:
             )
             jact = U[joined]
             if len(jact):
-                self._decide(jact, True, rA + 1)
+                self._decide(jact, True, rA + 1, lag)
                 undecided &= ~joined
 
             # Round B -- JOIN announcements; live neighbors are eliminated.
@@ -1321,7 +1369,7 @@ class VectorizedEngine:
             elim = inloop & undecided & hit
             eact = U[elim]
             if len(eact):
-                self._decide(eact, False, rB + 1)
+                self._decide(eact, False, rB + 1, lag)
                 undecided &= ~elim
             if len(jact):
                 if W - (used + 2) > 0:
@@ -1357,17 +1405,25 @@ class VectorizedEngine:
         # engine state -- a handful of C passes instead of the 10^5
         # NodeStats dataclasses of the legacy view.
         #
-        # First flatten the deferred per-edge broadcast counters into the
-        # received-message column: edge e delivered one message to dst[e]
-        # per broadcast round it participated in.  float64 weights are
-        # exact here (per-node totals stay far below 2^53).
+        # First fold the deferred broadcast rounds into the stat columns:
+        # each is an awake round, a tx round for a node with ports (idle
+        # without), and one 2-bit flag per graph neighbor.
         from ..profiling import phase
 
         with phase("result_build"):
-            if self.arrays.m:
-                self.mrecv += np.bincount(
-                    self.dst, weights=self._edge_rounds, minlength=self.n
-                ).astype(np.int64)
+            b = self.bcast
+            self.awake += b
+            if self._no_isolated:
+                self.tx += b
+            else:
+                ported = self.deg > 0
+                np.add(self.tx, b, out=self.tx, where=ported)
+                np.add(self.idle, b, out=self.idle, where=~ported)
+            sent = b * self.deg
+            self.msent += sent
+            sent *= _FLAG_BITS
+            self.bits += sent
+            del sent
             if self.result_kind == "arrays":
                 from .array_result import ArrayRunResult, result_column
 

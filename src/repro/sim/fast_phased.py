@@ -183,15 +183,6 @@ class PhasedVectorizedEngine:
         if algorithm == "ghaffari":
             # Desire level p_v = 2 ** -exponent, initially 1/2.
             self._exponent = scratch.take("exponent", n, np.int64, fill=1)
-        # Per-edge round-A participation, accumulated by the phase loop
-        # and flattened into ``mrecv`` once at result build (the sleeping
-        # engine's deferred-mrecv pattern): bumping the frontier edges'
-        # counters is O(frontier), where the historical
-        # ``bincount(minlength=n)`` + full-length ``mrecv +=`` cost O(n)
-        # per phase.
-        self._edge_rounds = scratch.take(
-            "edge_rounds", arrays.m, np.int64, fill=0
-        )
         # Global-to-local map for the phase loop's node frontier
         # (set-before-use only: each phase writes its own frontier
         # before reading, so stale entries are never observed).
@@ -348,9 +339,9 @@ class PhasedVectorizedEngine:
         and ``bincount(minlength=n)`` passes made every phase cost the
         whole graph.  All per-phase aggregation happens in ``U``'s local
         index space (slot ``i`` is node ``U[i]``, mapped through the
-        ``_local_index`` scatch scatter), ``live_cnt`` is maintained
-        incrementally as edges are pruned, round-A message receipt is
-        deferred to per-edge counters flattened once at result build, and
+        ``_local_index`` scratch scatter), ``live_cnt`` is maintained
+        incrementally as edges are pruned, every round's message receipts
+        are one frontier-local ``bincount`` credited through ``U``, and
         the per-phase ``best``/``hit``/``marked`` arrays are frontier-
         sized slices of scratch buffers.  Because ``U`` stays ascending,
         every draw happens at exactly the stream position the historical
@@ -438,7 +429,7 @@ class PhasedVectorizedEngine:
             self.tx[U] += 1
             self.msent[U] += live_cnt_l
             self.bits[U] += self._prio_bits[U] * live_cnt_l
-            self._edge_rounds[EF] += 1  # mrecv, flattened at result build
+            self.mrecv[U] += np.bincount(ld, minlength=nu)
             # Keys kept by receivers: senders that are in the receiver's
             # own live set (the protocol's ``if u in live`` filter).
             keyed = live[gf]
@@ -527,12 +518,6 @@ class PhasedVectorizedEngine:
     def _build_result_inner(self) -> RunResult:
         # Phased nodes never sleep (constant ``sleep`` column) but finish
         # at per-node rounds as they terminate phase by phase.
-        if self.arrays.m:
-            # Round-A receipt was deferred to per-edge phase counters;
-            # flatten them into per-node counts in one weighted pass.
-            self.mrecv += np.bincount(
-                self.arrays.dst, weights=self._edge_rounds, minlength=self.n
-            ).astype(np.int64)
         if self.result_kind == "arrays":
             from .array_result import ArrayRunResult, result_column
 

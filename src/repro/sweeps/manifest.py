@@ -118,6 +118,10 @@ class SweepManifest:
                 )
             seen[trial.key] = trial
         self._by_key = seen
+        # Every key is a SHA-256 of the plan's canonical JSON; derive them
+        # once here, not on every keys() call (the frontier calls it once
+        # per claim).
+        self._keys: Tuple[str, ...] = tuple(seen)
 
     # -- construction ---------------------------------------------------
 
@@ -174,7 +178,7 @@ class SweepManifest:
 
     def keys(self) -> List[str]:
         """All trial keys, in manifest (= claim) order."""
-        return [trial.key for trial in self.trials]
+        return list(self._keys)
 
     def __contains__(self, key: str) -> bool:
         return key in self._by_key

@@ -10,6 +10,8 @@ structurally impossible.  ``tests/conftest.py`` re-exports the fixtures.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import networkx as nx
 
 from repro.api import solve_mis
@@ -42,3 +44,19 @@ GRAPH_BUILDERS = [builder for _, builder in GRAPH_CASES]
 def run_mis(graph, algorithm, seed=0, **kwargs):
     """Thin wrapper so tests read uniformly."""
     return solve_mis(graph, algorithm=algorithm, seed=seed, **kwargs)
+
+
+def assert_equivalent(reference, vectorized):
+    """Diff two RunResults field by field with a readable failure."""
+    assert reference.n == vectorized.n
+    assert reference.rounds == vectorized.rounds
+    assert reference.outputs == vectorized.outputs
+    assert reference.mis == vectorized.mis
+    assert reference.undecided == vectorized.undecided
+    assert reference.adjacency == vectorized.adjacency
+    assert set(reference.node_stats) == set(vectorized.node_stats)
+    for v in reference.node_stats:
+        ref = asdict(reference.node_stats[v])
+        vec = asdict(vectorized.node_stats[v])
+        diff = {key: (ref[key], vec[key]) for key in ref if ref[key] != vec[key]}
+        assert not diff, f"node {v!r} stats diverge (ref, vec): {diff}"

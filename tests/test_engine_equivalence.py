@@ -11,11 +11,9 @@ stream formats, plus the protocol knobs and the engine selection logic in
 the API.
 """
 
-from dataclasses import asdict
-
 import pytest
 
-from helpers import GRAPH_CASES, run_mis
+from helpers import GRAPH_CASES, assert_equivalent, run_mis
 
 from repro.sim.batch import resolve_engine
 from repro.sim.fast_engine import supports
@@ -25,22 +23,6 @@ ALGORITHMS = ("sleeping", "fast-sleeping")
 PHASED = ("luby", "greedy", "ghaffari", "abi")
 ALL_VECTORIZED = ALGORITHMS + PHASED
 SEEDS = (0, 1, 2)
-
-
-def assert_equivalent(reference, vectorized):
-    """Diff two RunResults field by field with a readable failure."""
-    assert reference.n == vectorized.n
-    assert reference.rounds == vectorized.rounds
-    assert reference.outputs == vectorized.outputs
-    assert reference.mis == vectorized.mis
-    assert reference.undecided == vectorized.undecided
-    assert reference.adjacency == vectorized.adjacency
-    assert set(reference.node_stats) == set(vectorized.node_stats)
-    for v in reference.node_stats:
-        ref = asdict(reference.node_stats[v])
-        vec = asdict(vectorized.node_stats[v])
-        diff = {key: (ref[key], vec[key]) for key in ref if ref[key] != vec[key]}
-        assert not diff, f"node {v!r} stats diverge (ref, vec): {diff}"
 
 
 @pytest.mark.parametrize("algorithm", ALL_VECTORIZED)

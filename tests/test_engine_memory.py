@@ -25,17 +25,16 @@ from repro.sim.fast_phased import PhasedVectorizedEngine
 SLEEPING_BUFFERS = (
     "in_mis", "awake", "sleep", "tx", "rx", "idle", "msent", "bits",
     "mrecv", "decision_round", "awake_at_decision", "base_truncated",
-    "_sub_mask", "_nbr_mask", "_live_edges", "_edge_rounds",
+    "_sub_mask", "_nbr_mask", "_live_edges", "bcast", "_indeg_buf",
     "_local_index", "_ctr",
 )
 
 #: The scratch-borrowed per-node state buffers of the phased engine,
-#: including the node-frontier localization buffers (deferred per-edge
-#: round-A receipt counters and the global-to-local index map).
+#: including the node-frontier global-to-local index map.
 PHASED_BUFFERS = (
     "in_mis", "awake", "tx", "rx", "idle", "msent", "bits", "mrecv",
     "decision_round", "awake_at_decision", "finish", "_combined",
-    "_prio_bits", "_ctr", "_edge_rounds", "_local_index",
+    "_prio_bits", "_ctr", "_local_index",
 )
 
 #: Additional scratch buffers of the marking (ghaffari) phased engine.
@@ -289,8 +288,8 @@ class TestNoCopyEngineHandoff:
     def test_engine_construction_does_not_duplicate_the_csr(self):
         """tracemalloc pin: constructing the sleeping engine on a dense
         prebuilt graph allocates its *own* per-edge state (the bool live
-        mask and the int64 deferred-receipt counters, 9 bytes/directed
-        edge) plus O(n) node buffers -- but never a second copy of the
+        mask, 1 byte/directed edge -- broadcast receipts are per-node
+        counts) plus O(n) node buffers -- but never a second copy of the
         ~12 bytes/edge int32 CSR triplet, which would show up as ~12m
         extra traced bytes."""
         n, p = 2000, 0.5
@@ -307,7 +306,7 @@ class TestNoCopyEngineHandoff:
         finally:
             tracemalloc.stop()
         del eng
-        per_edge_state = 9 * ga.m  # live mask + edge_rounds, legitimate
+        per_edge_state = 1 * ga.m  # the live mask, legitimate
         node_buffers = 32 * 8 * n  # generous: every per-node scratch array
         bound = per_edge_state + node_buffers + 2 * 1024 * 1024
         assert peak <= bound, (

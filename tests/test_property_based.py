@@ -4,20 +4,25 @@ Strategy: generate random graph shapes and seeds and assert the invariants
 that the paper proves always (not just w.h.p.) or that our implementation
 must maintain unconditionally: MIS validity of the greedy oracle, validity
 of the phased baselines, rank-order laws, schedule arithmetic, payload bit
-monotonicity, and the Corollary 1 equivalence conditioned on distinct ranks.
+monotonicity, the Corollary 1 equivalence conditioned on distinct ranks,
+and the cross-engine contract: on any graph, the vectorized engines replay
+the generator engine's execution exactly.
 """
 
 import math
+from itertools import combinations
 
 import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_equivalent, run_mis
 from repro.api import solve_mis
 from repro.baselines.seq_greedy import greedy_mis, lexicographically_first_mis
 from repro.core import schedule
 from repro.core.ranks import k_rank, ranks_unique
 from repro.graphs import is_maximal_independent_set
+from repro.sim.fast_engine import SLEEPING_ALGORITHMS, SUPPORTED_ALGORITHMS
 from repro.sim.messages import payload_bits
 
 SLOW = settings(
@@ -43,6 +48,61 @@ def random_graphs(draw, max_nodes=24):
     graph.add_nodes_from(range(n))
     graph.add_edges_from(edges)
     return graph
+
+
+@st.composite
+def shaped_graphs(draw, max_nodes=20):
+    """A random graph with planted shapes: a star, a clique, and extra
+    isolated nodes, each present or not -- the extremes of the sleeping
+    recursion's per-node edge segments (empty, one long hub segment,
+    all-to-all)."""
+    graph = draw(random_graphs(max_nodes=max_nodes))
+    n = graph.number_of_nodes()
+    nodes = st.integers(min_value=0, max_value=n - 1)
+    if n >= 3 and draw(st.booleans()):
+        hub, *leaves = draw(st.lists(nodes, min_size=2, max_size=n, unique=True))
+        graph.add_edges_from((hub, leaf) for leaf in leaves)
+    if n >= 3 and draw(st.booleans()):
+        clique = draw(
+            st.lists(nodes, min_size=3, max_size=min(n, 8), unique=True)
+        )
+        graph.add_edges_from(combinations(clique, 2))
+    graph.add_nodes_from(range(n, n + draw(st.integers(0, 3))))
+    return graph
+
+
+class TestCrossEngineFuzz:
+    """Differential fuzz: generator engine vs vectorized engine.
+
+    Every NodeStats field must be bit-identical for all six vectorized
+    algorithms, both RNG streams, and (for the sleeping recursion)
+    depths 0, 1, 3 and the default -- depths the fixed ``GRAPH_CASES``
+    reach only on one graph.
+    """
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        graph=shaped_graphs(),
+        algorithm=st.sampled_from(SUPPORTED_ALGORITHMS),
+        rng=st.sampled_from(("pernode", "batched")),
+        depth=st.sampled_from((0, 1, 3, None)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_engines_agree_exactly(self, graph, algorithm, rng, depth, seed):
+        kwargs = {"rng": rng}
+        if depth is not None and algorithm in SLEEPING_ALGORITHMS:
+            kwargs["depth"] = depth
+        reference = run_mis(
+            graph, algorithm, seed=seed, engine="generators", **kwargs
+        )
+        vectorized = run_mis(
+            graph, algorithm, seed=seed, engine="vectorized", **kwargs
+        )
+        assert_equivalent(reference, vectorized)
 
 
 class TestGreedyOracleProperties:

@@ -384,6 +384,23 @@ def test_manifest_expand_matches_sweep_seed_grid():
     ]
 
 
+def test_manifest_keys_are_hashed_once(monkeypatch):
+    """keys() serves the keys derived at construction: no per-call
+    re-hashing of every plan (the frontier calls it once per claim), and
+    a caller mutating the returned list cannot corrupt the manifest."""
+    manifest = small_manifest()
+    expected = [t.key for t in manifest]
+
+    def no_rehash(*args, **kwargs):
+        raise AssertionError("keys() re-derived a trial key")
+
+    monkeypatch.setattr("repro.sweeps.manifest.trial_key", no_rehash)
+    keys = manifest.keys()
+    assert keys == expected
+    keys.clear()
+    assert manifest.keys() == expected
+
+
 def test_manifest_round_trip_and_version_gate(manifest, tmp_path):
     path = tmp_path / "m.json"
     manifest.save(path)
