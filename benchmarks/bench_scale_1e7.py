@@ -5,16 +5,16 @@ ROADMAP named the three constraints left after the 10^6 push: v1
 engines, and the CSR-build argsort plus unbounded pair buffering in the
 sampler.  This file pins the state after removing all three (memoized
 bulk seeding in :mod:`repro.sim.rng`, the node-frontier phased engine,
-and the direct O(m) / streaming two-pass CSR build of
-:meth:`GraphArrays.from_distinct_pairs` /
+and the streaming two-pass CSR build of
 :meth:`GraphArrays.from_distinct_pair_chunks`), in two stages:
 
 * ``test_gnp_1e7_sampler_smoke`` -- the sampler alone: a 10^7-node
   gnp-sparse graph sampled straight into CSR arrays on the v2 stream
-  through the **streaming** build (``stream="auto"`` crosses the
-  threshold at this size), re-sampling the counter stream on the second
-  pass instead of buffering 4x10^7 pairs.  Cheap enough for the per-PR
-  CI smoke; the deterministic edge count is the tracked series.
+  through the **streaming** build (the expected edge count crosses
+  ``GNP_V2_STREAM_THRESHOLD`` at this size), re-sampling the counter
+  stream on the second pass instead of buffering 4x10^7 pairs.  Cheap
+  enough for the per-PR CI smoke; the deterministic edge count is the
+  tracked series.
 * ``test_sleeping_1e7_pipeline`` -- the headline: one 10^7-node
   sleeping-MIS (Algorithm 1) trial end-to-end -- sample, simulate,
   validate, flatten -- on the fully batched pipeline

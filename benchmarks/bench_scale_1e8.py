@@ -56,10 +56,11 @@ def test_streaming_build_memory_scale_check(benchmark, monkeypatch):
     n, p = 2000, 0.5  # ~10^6 undirected pairs
     chunk = 1 << 11
     monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_CHUNK", chunk)
+    monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_THRESHOLD", 0)
 
     def measure():
         with profile_phases(trace=True) as prof:
-            ga = arrays_mod.gnp_arrays_v2(n, p, seed=5, stream=True)
+            ga = arrays_mod.gnp_arrays_v2(n, p, seed=5)
             current, peak = tracemalloc.get_traced_memory()
         return ga, prof, current, peak
 

@@ -19,7 +19,7 @@ each against the committed ``benchmarks/artifacts/BENCH_perf_smoke.json``:
   struct-of-arrays result wins;
 * ``gnp_1e6_sampler_batched`` -- a 10^6-node gnp-sparse sample on the v2
   (``graph_rng="batched"``) vectorized sampling stream, guarding the
-  whole-array geometric-skip sampler and the ``from_distinct_pairs``
+  whole-array geometric-skip sampler and the ``from_distinct_pair_chunks``
   CSR build that break the 10^6 barrier (the full 10^6 *pipeline*
   comparison lives in ``bench_scale_1e6.py``, outside the smoke budget).
 

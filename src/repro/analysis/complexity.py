@@ -17,14 +17,16 @@ import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
-from ..api import make_protocol_factory
 from ..graphs.arrays import DEFAULT_GRAPH_RNG, make_family
 from ..graphs.validation import is_maximal_independent_set
 from ..sim.array_result import ArrayRunResult, resolve_result_kind
-from ..sim.batch import iter_trials, make_vectorized_engine
+from ..sim.batch import (
+    iter_trials,
+    make_vectorized_engine,
+    run_generator_engine,
+)
 from ..sim.energy import DEFAULT_MODEL, EnergyModel
 from ..sim.metrics import RunResult
-from ..sim.network import Simulator
 from ..sim.rng import DEFAULT_STREAM
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -165,11 +167,11 @@ def run_trial(
             result=result_kind, dtype=plan.dtype, **protocol_kwargs,
         ).run()
     else:
-        factory = make_protocol_factory(algorithm, **protocol_kwargs)
-        run = Simulator(
-            graph, factory, seed=plan.seed,
+        run = run_generator_engine(
+            graph, algorithm, seed=plan.seed,
             congest_bit_limit=plan.congest_bit_limit, rng=plan.rng,
-        ).run()
+            **protocol_kwargs,
+        )
         if result_kind == "arrays":
             run = ArrayRunResult.from_run_result(run, plan.dtype)
     trial = trial_from_result(

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from .sim.array_result import ArrayRunResult
 from .sim.metrics import RunResult
-from .sim.network import Simulator
 from .sim.protocol import Protocol
 from .sim.rng import DEFAULT_STREAM
 from .sim.trace import Trace
@@ -166,7 +165,11 @@ def solve_mis(
     """
     from .plan import ensure_plan
     from .sim.array_result import resolve_result_kind
-    from .sim.batch import make_vectorized_engine, resolve_engine
+    from .sim.batch import (
+        make_vectorized_engine,
+        resolve_engine,
+        run_generator_engine,
+    )
 
     plan = ensure_plan(
         "solve_mis",
@@ -217,17 +220,16 @@ def solve_mis(
             dtype=plan.dtype,
             **protocol_kwargs,
         ).run()
-    factory = make_protocol_factory(plan.algorithm, **protocol_kwargs)
-    simulator = Simulator(
+    run = run_generator_engine(
         graph,
-        factory,
+        plan.algorithm,
         seed=plan.seed,
-        congest_bit_limit=plan.congest_bit_limit,
-        trace=trace,
         max_rounds=plan.max_rounds,
+        congest_bit_limit=plan.congest_bit_limit,
         rng=plan.rng,
+        trace=trace,
+        **protocol_kwargs,
     )
-    run = simulator.run()
     if result_kind == "arrays":
         return ArrayRunResult.from_run_result(run, plan.dtype)
     return run

@@ -8,7 +8,11 @@ steps -- a dict-of-dicts graph object plus a Python normalization pass --
 cost more than the simulation itself (~70% of a batched sleeping trial).
 
 This module skips them: each sampler here draws the edge list directly
-into integer arrays and hands them to :meth:`GraphArrays.from_edges`,
+into integer arrays and hands them to the one CSR builder,
+:meth:`GraphArrays.from_distinct_pair_chunks` -- through
+:meth:`GraphArrays.from_edges` as a single deduplicated chunk, or, for
+the v2 gnp sampler, as its already sorted chunk stream (buffered below
+:data:`GNP_V2_STREAM_THRESHOLD` expected edges, re-sampled above it) --
 never materializing a networkx object or an adjacency dict.  The dict
 view stays *lazy* (built only if a generator-engine consumer asks), and
 :meth:`GraphArrays.to_networkx` is the escape hatch back to a real
@@ -100,11 +104,7 @@ def validate_graph_rng(graph_rng: str) -> str:
 def _from_pairs(n: int, pairs: List[tuple]) -> GraphArrays:
     """Edge-pair list -> :class:`GraphArrays` (the samplers' common exit)."""
     with phase("csr_build"):
-        if not pairs:
-            return GraphArrays.from_edges(
-                n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-            )
-        u, v = zip(*pairs)
+        u, v = zip(*pairs) if pairs else ((), ())
         return GraphArrays.from_edges(
             n,
             np.fromiter(u, dtype=np.int64, count=len(pairs)),
@@ -156,28 +156,19 @@ def gnp_arrays(n: int, p: float, seed: int = 0) -> GraphArrays:
 
 
 #: Uniform draws per refill chunk of the v2 sampler.  Bounds the peak
-#: *transient* memory of a dense sample: however many edges G(n, p) has,
-#: the sampler never holds more than this many uniforms/skips in flight
-#: (~128 MB of float64+int64 temporaries), refilling until the pair space
-#: is exhausted.  Chunking changes nothing about the sampled graph -- draw
-#: ``j`` is a pure function of ``(key, j)`` -- so the constant can move
-#: without versioning.
-GNP_V2_CHUNK = 1 << 23
-
-#: Draws per refill in **streaming** mode, where the CSR build holds one
+#: *transient* memory of a sample-plus-build: the CSR build holds one
 #: chunk's index temporaries on top of the sampler's float64+int64 pair
-#: (~60 bytes per pair all told): smaller chunks keep the whole
-#: sample-plus-build transient near the same ~128 MB envelope.
+#: (~60 bytes per pair all told), so however many edges G(n, p) has, the
+#: transient stays near a ~128 MB envelope.  Chunking changes nothing
+#: about the sampled graph -- draw ``j`` is a pure function of
+#: ``(key, j)`` -- so the constant can move without versioning.
 GNP_V2_STREAM_CHUNK = 1 << 21
 
-#: ``stream="auto"`` switches to the bounded-memory two-pass build once
-#: the *expected* edge count crosses this many pairs -- below it the
-#: one-shot build is faster (no second sampling pass) and its transient
-#: memory is small anyway.
+#: Expected edge count from which :func:`gnp_arrays_v2` re-samples the
+#: counter stream on the build's second pass instead of buffering the
+#: chunks -- below it one extra sampling pass costs more than the buffer,
+#: whose memory is small anyway.
 GNP_V2_STREAM_THRESHOLD = 1 << 24
-
-#: ``stream=`` choices accepted by :func:`gnp_arrays_v2`.
-GNP_V2_STREAM_MODES = ("auto", True, False)
 
 
 def _gnp_v2_pair_chunks(n: int, p: float, key: np.uint64, chunk: int):
@@ -223,9 +214,7 @@ def _gnp_v2_pair_chunks(n: int, p: float, key: np.uint64, chunk: int):
             return
 
 
-def gnp_arrays_v2(
-    n: int, p: float, seed: int = 0, stream: object = "auto"
-) -> GraphArrays:
+def gnp_arrays_v2(n: int, p: float, seed: int = 0) -> GraphArrays:
     """Erdos--Renyi ``G(n, p)`` on the v2 (``"batched"``) sampling stream.
 
     Batagelj--Brandes geometric-skip sampling, vectorized: whole arrays of
@@ -248,46 +237,25 @@ def gnp_arrays_v2(
       ``v(v-1)/2 + w``, truncated at ``n(n-1)/2``.
 
     Skips are strictly positive, so positions are strictly increasing: the
-    edge list needs no deduplication and arrives pre-sorted, which is what
-    lets :meth:`GraphArrays.from_distinct_pairs` take the direct O(m)
-    CSR build.
-
-    ``stream`` picks the build strategy -- **never** the sampled graph
-    (both modes consume the identical counter stream): ``False`` buffers
-    every pair chunk and builds the CSR in one shot; ``True`` makes two
-    passes with :meth:`GraphArrays.from_distinct_pair_chunks`,
-    re-sampling on the second, so peak transient memory stays bounded by
-    the chunk size instead of growing with ``m``; ``"auto"`` (default)
-    streams exactly when the expected edge count crosses
-    :data:`GNP_V2_STREAM_THRESHOLD`.
+    edge list needs no deduplication and arrives in the ``(hi, lo)`` order
+    :meth:`GraphArrays.from_distinct_pair_chunks` builds from, chunk by
+    chunk.  The builder reads the chunks twice.  Below
+    :data:`GNP_V2_STREAM_THRESHOLD` expected edges they are sampled once
+    and buffered; above it the second pass re-samples the counter stream,
+    so peak transient memory stays bounded by the chunk size instead of
+    growing with ``m``.  Either way the sampled graph is the same.
     """
-    if stream not in GNP_V2_STREAM_MODES:
-        raise ValueError(
-            f"unknown stream mode {stream!r}; known: {GNP_V2_STREAM_MODES}"
-        )
     if p >= 1.0:
         return gnp_arrays(n, 1.0)
     if p <= 0.0 or n < 2:
         return _from_pairs(n, [])
     key = np.uint64(graph_stream_key(seed))
-    if stream == "auto":
-        stream = n * (n - 1) / 2 * p >= GNP_V2_STREAM_THRESHOLD
-    if stream:
-        return GraphArrays.from_distinct_pair_chunks(
-            n, lambda: _gnp_v2_pair_chunks(n, p, key, GNP_V2_STREAM_CHUNK)
-        )
-    parts_w: List[np.ndarray] = []
-    parts_v: List[np.ndarray] = []
-    with phase("sample"):
-        for w, v in _gnp_v2_pair_chunks(n, p, key, GNP_V2_CHUNK):
-            parts_w.append(w)
-            parts_v.append(v)
-    if not parts_v:
-        return _from_pairs(n, [])
-    with phase("csr_build"):
-        hi = np.concatenate(parts_v)
-        lo = np.concatenate(parts_w)
-        return GraphArrays.from_distinct_pairs(n, lo, hi)
+    chunks = lambda: _gnp_v2_pair_chunks(n, p, key, GNP_V2_STREAM_CHUNK)
+    if n * (n - 1) / 2 * p < GNP_V2_STREAM_THRESHOLD:
+        with phase("sample"):
+            buffered = list(chunks())
+        return GraphArrays.from_distinct_pair_chunks(n, lambda: buffered)
+    return GraphArrays.from_distinct_pair_chunks(n, chunks)
 
 
 def ring_arrays(n: int) -> GraphArrays:

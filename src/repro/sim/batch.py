@@ -150,6 +150,37 @@ def make_vectorized_engine(
         )
 
 
+def run_generator_engine(
+    graph: Any,
+    algorithm: str,
+    *,
+    seed: Optional[int] = 0,
+    max_rounds: Optional[int] = None,
+    congest_bit_limit: Optional[int] = None,
+    rng: str = DEFAULT_STREAM,
+    trace: Any = None,
+    **protocol_kwargs: Any,
+) -> RunResult:
+    """One run of ``algorithm`` on the generator (reference) engine.
+
+    The counterpart of ``make_vectorized_engine(...).run()``: protocol
+    construction and the run are attributed to the ``engine`` phase under
+    active profiling, so phase reports cover either engine.
+    """
+    from ..api import make_protocol_factory  # local: avoid import cycle
+
+    with phase("engine"):
+        return Simulator(
+            graph,
+            make_protocol_factory(algorithm, **protocol_kwargs),
+            seed=seed,
+            max_rounds=max_rounds,
+            congest_bit_limit=congest_bit_limit,
+            trace=trace,
+            rng=rng,
+        ).run()
+
+
 def _run_one(
     adjacency: Optional[Dict[Any, Tuple[Any, ...]]],
     arrays: Optional[GraphArrays],
@@ -179,18 +210,17 @@ def _run_one(
             dtype=dtype,
             **protocol_kwargs,
         ).run()
-    from ..api import make_protocol_factory  # local: avoid import cycle
-
     if adjacency is None:
         adjacency = arrays.adjacency
-    run = Simulator(
+    run = run_generator_engine(
         adjacency,
-        make_protocol_factory(algorithm, **protocol_kwargs),
+        algorithm,
         seed=seed,
         max_rounds=max_rounds,
         congest_bit_limit=congest_bit_limit,
         rng=rng,
-    ).run()
+        **protocol_kwargs,
+    )
     if resolve_result_kind(result, engine) == "arrays":
         return ArrayRunResult.from_run_result(run, dtype)
     return run

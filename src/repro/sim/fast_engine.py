@@ -74,6 +74,10 @@ SUPPORTED_PROTOCOL_KWARGS = frozenset(
 #: Protocol keyword arguments of the phased baselines.
 PHASED_PROTOCOL_KWARGS = frozenset({"max_phases"})
 
+#: Largest node count and directed-edge count the CSR format holds:
+#: ``src``/``dst``/``grev`` and the builder's slot arithmetic are int32.
+CSR_INDEX_LIMIT = int(np.iinfo(np.int32).max)
+
 
 @dataclass(frozen=True)
 class EngineCapability:
@@ -318,15 +322,17 @@ class GraphArrays:
     permutation) is the engine's fixed cost per graph; the batch runner
     reuses one instance across every seed run on the same graph.
 
-    Two construction paths exist.  ``GraphArrays(graph)`` converts an
-    existing ``networkx.Graph`` or adjacency mapping (normalizing it
-    first).  :meth:`from_edges` builds the arrays straight from edge-index
-    arrays -- the **array-native** path used by
-    :mod:`repro.graphs.arrays`, which never materializes a networkx object
-    or a Python adjacency dict at all.  For array-native instances the
-    ``adjacency`` dict is a *lazy* view: it is only built (and cached) if
-    something dict-shaped asks for it (the generator engine, legacy
-    ``RunResult.adjacency``, :meth:`to_networkx`).
+    ``GraphArrays(graph)`` converts an existing ``networkx.Graph`` or
+    adjacency mapping (normalizing it first).  Every other instance is
+    **array-native**: built by the one pair builder,
+    :meth:`from_distinct_pair_chunks`, either directly (the v2 gnp
+    sampler's chunk stream) or through :meth:`from_edges` (edge-index
+    arrays, deduplicated into a single chunk).  The samplers in
+    :mod:`repro.graphs.arrays` take this path and never materialize a
+    networkx object or a Python adjacency dict.  For array-native
+    instances the ``adjacency`` dict is a *lazy* view: it is only built
+    (and cached) if something dict-shaped asks for it (the generator
+    engine, legacy ``RunResult.adjacency``, :meth:`to_networkx`).
 
     Memory audit (the CSR-shaped buffers that bound sweep scale): with
     ``m`` directed edges, the persistent footprint is ``src``/``dst``/
@@ -376,6 +382,9 @@ class GraphArrays:
         Self-loops are dropped and duplicate edges (in either orientation)
         collapse, mirroring :func:`repro.sim.network.normalize_graph` --
         but no Python dict is ever built; the adjacency view stays lazy.
+        The deduplicated pairs come out in the ``(hi, lo)`` order the CSR
+        builder wants and go through :meth:`from_distinct_pair_chunks` as
+        its one-chunk case.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -389,14 +398,13 @@ class GraphArrays:
         hi = np.maximum(u, v)
         keep = lo != hi  # drop self-loops
         lo, hi = lo[keep], hi[keep]
-        if len(lo):
-            key = np.unique(lo * np.int64(n) + hi)  # dedupe + sort
-            lo, hi = key // n, key % n
-        return cls.from_distinct_pairs(n, lo, hi)
+        key = np.unique(hi * np.int64(n) + lo)  # dedupe + (hi, lo) sort
+        hi, lo = key // n, key % n
+        return cls.from_distinct_pair_chunks(n, lambda: ((lo, hi),))
 
     @classmethod
     def _pair_shell(cls, n: int) -> "GraphArrays":
-        """The empty array-native instance the pair builders fill in."""
+        """The empty array-native instance the pair builder fills in."""
         self = cls.__new__(cls)
         self._adjacency = None
         self._node_ids = None  # ids are 0..n-1; node_ids serves a range
@@ -421,169 +429,54 @@ class GraphArrays:
         return self._node_ids
 
     @classmethod
-    def from_distinct_pairs(cls, n: int, lo: Any, hi: Any) -> "GraphArrays":
-        """Trusted array-native constructor: edges as **distinct**
-        undirected pairs with ``lo[i] < hi[i]``.
-
-        The fast exit shared by :meth:`from_edges` and the v2 gnp sampler
-        (whose strictly increasing flat positions guarantee distinctness
-        for free, skipping the dedup sort).  Both callers hand over pairs
-        that are already lex-sorted -- ``from_edges`` by ``(lo, hi)``
-        (``np.unique`` output), the sampler by ``(hi, lo)`` (ascending
-        flat positions) -- and a strictly increasing composite key
-        certifies either order in one vectorized compare, so the common
-        case takes the **direct O(m) build**: the sorted direction's CSR
-        slots are pure prefix-sum arithmetic and only the other direction
-        pays an argsort, of ``m`` keys instead of the historical ``2m``
-        (see :meth:`_from_sorted_pairs`).  Unsorted input falls back to
-        the ``2m``-key argsort build (:meth:`_from_pairs_argsort`).
-        Duplicate pairs or ``lo >= hi`` entries violate the contract;
-        bounds are still checked.
-        """
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        m = len(lo)
-        if m and (lo.min() < 0 or hi.max() >= n):
-            raise ValueError(f"edge endpoints must lie in [0, {n})")
-        if m and not (lo < hi).all():
-            raise ValueError("pairs must satisfy lo < hi")
-        if not m:
-            self = cls._pair_shell(n)
-            self.src = np.empty(0, dtype=np.int32)
-            self.dst = np.empty(0, dtype=np.int32)
-            self.grev = np.empty(0, dtype=np.int32)
-            self.deg = np.zeros(n, dtype=np.int64)
-            return self
-        # A strictly increasing composite key both certifies the lex
-        # order and re-verifies pair distinctness for free.
-        nn = np.int64(n)
-        key = hi * nn + lo
-        if m == 1 or bool((key[1:] > key[:-1]).all()):
-            return cls._from_sorted_pairs(n, lo, hi, hi_major=True)
-        key = lo * nn + hi
-        if bool((key[1:] > key[:-1]).all()):
-            return cls._from_sorted_pairs(n, lo, hi, hi_major=False)
-        return cls._from_pairs_argsort(n, lo, hi)
-
-    @classmethod
-    def _from_sorted_pairs(
-        cls, n: int, lo: Any, hi: Any, *, hi_major: bool
-    ) -> "GraphArrays":
-        """Direct O(m) CSR build for lex-sorted distinct pairs.
-
-        Row ``s`` of the (src, dst)-sorted directed edge list is the
-        backward block (reverses ``(s, w)`` of pairs ``(w, s)``, ``w``
-        ascending) followed by the forward block (pairs ``(s, w)``, ``w``
-        ascending).  Whichever direction matches the input's lex order
-        needs no sort at all: its within-block rank is ``input position -
-        exclusive prefix count of its block's node``, because the groups
-        arrive contiguous and in order.  The other direction's ranks come
-        from one argsort of the ``m`` opposite-order composite keys
-        (unique, so the non-stable default sort is exact).  ``grev`` is
-        the cross-link between the two slot arrays -- no extra sort.
-        Slot arithmetic runs in int32: ``2m`` already must fit int32 for
-        the ``grev`` format, and halving the index temporaries is what
-        keeps the 1e7 build in bounded memory.
-        """
-        m = len(lo)
-        self = cls._pair_shell(n)
-        degF = np.bincount(lo, minlength=n)  # forward  (lo -> hi) counts
-        degB = np.bincount(hi, minlength=n)  # backward (hi -> lo) counts
-        deg = degF + degB
-        csum = np.cumsum(deg)
-        startB = (csum - deg).astype(np.int32)  # row start = backward block
-        startF = (csum - degF).astype(np.int32)  # forward block start
-        idx = np.arange(m, dtype=np.int32)
-        nn = np.int64(n)
-        if hi_major:
-            cumB = (np.cumsum(degB) - degB).astype(np.int32)
-            back = startB[hi] + (idx - cumB[hi])
-            order = np.argsort(lo * nn + hi)
-            cumF = (np.cumsum(degF) - degF).astype(np.int32)
-            lo_s = lo[order]
-            fwd = np.empty(m, dtype=np.int32)
-            fwd[order] = startF[lo_s] + (idx - cumF[lo_s])
-        else:
-            cumF = (np.cumsum(degF) - degF).astype(np.int32)
-            fwd = startF[lo] + (idx - cumF[lo])
-            order = np.argsort(hi * nn + lo)
-            cumB = (np.cumsum(degB) - degB).astype(np.int32)
-            hi_s = hi[order]
-            back = np.empty(m, dtype=np.int32)
-            back[order] = startB[hi_s] + (idx - cumB[hi_s])
-        # src never needs a scatter: row s holds deg[s] copies of s.
-        src = np.repeat(np.arange(n, dtype=np.int32), deg)
-        dst = np.empty(2 * m, dtype=np.int32)
-        grev = np.empty(2 * m, dtype=np.int32)
-        dst[back] = lo
-        dst[fwd] = hi
-        grev[back] = fwd
-        grev[fwd] = back
-        self.src, self.dst, self.grev, self.deg = src, dst, grev, deg
-        return self
-
-    @classmethod
-    def _from_pairs_argsort(cls, n: int, lo: Any, hi: Any) -> "GraphArrays":
-        """The order-agnostic fallback: one int64 argsort of all ``2m``
-        directed keys.  Kept as the reference build the sorted fast path
-        is pinned against, and the path unsorted (but distinct) pairs
-        still take.
-        """
-        m = len(lo)
-        self = cls._pair_shell(n)
-        nn = np.int64(n)
-        keys = np.concatenate([lo * nn + hi, hi * nn + lo])
-        order = np.argsort(keys)  # (src, dst) ascending == key ascending
-        src_pre = np.empty(2 * m, dtype=np.int32)
-        src_pre[:m] = lo
-        src_pre[m:] = hi
-        dst_pre = np.empty(2 * m, dtype=np.int32)
-        dst_pre[:m] = hi
-        dst_pre[m:] = lo
-        self.src = src_pre[order]
-        self.dst = dst_pre[order]
-        # Pre-sort slot i's reverse partner is slot i +- m; mapping both
-        # through the sort permutation yields grev without another sort.
-        pos = np.empty(2 * m, dtype=np.int32)
-        pos[order] = np.arange(2 * m, dtype=np.int32)
-        partner = np.concatenate([pos[m:], pos[:m]])
-        self.grev = partner[order]
-        self.deg = np.bincount(self.src, minlength=n).astype(np.int64)
-        return self
-
-    @classmethod
     def from_distinct_pair_chunks(
         cls, n: int, chunks: Any
     ) -> "GraphArrays":
-        """Streaming CSR build: two passes over re-iterable pair chunks.
+        """The array-native CSR build: two passes over re-iterable chunks.
 
         ``chunks`` is a zero-argument callable returning a fresh iterable
         of ``(lo, hi)`` array pairs whose concatenation is the edge list
         in strictly increasing ``(hi, lo)``-lex order (the v2 gnp
         sampler's native order) -- distinct pairs with ``lo < hi``, both
-        validated chunk by chunk.  Pass 1 only accumulates the per-node
-        degree counts; pass 2 re-pulls the chunks and scatters each
-        straight into its final CSR slots, so peak transient memory is
-        O(n) node arrays plus a few index temporaries per *chunk*, never
-        per graph -- the whole point for dense families at 1e7 (see
-        ``docs/performance.md``).  The factory must replay the identical
-        chunk stream twice (counter-based samplers re-sample for free);
-        a length mismatch between passes is detected and raised.
+        validated chunk by chunk.  Every array-native instance is built
+        here: :meth:`from_edges` hands over one chunk, the v2 sampler a
+        buffered chunk list or a re-sampling generator
+        (:func:`repro.graphs.arrays.gnp_arrays_v2`).  Pass 1 only
+        accumulates the per-node degree counts; pass 2 re-pulls the
+        chunks and scatters each straight into its final CSR slots, so
+        peak transient memory is O(n) node arrays plus a few index
+        temporaries per *chunk*, never per graph -- the whole point for
+        dense families at 1e7 (see ``docs/performance.md``).  The factory
+        must replay the identical chunk stream twice (a chunk list does;
+        counter-based samplers re-sample for free); a length mismatch
+        between passes is detected and raised.
 
-        Slot math: the backward (``hi``-major) direction's rank is pure
-        arithmetic off the global input position, exactly as in
-        :meth:`_from_sorted_pairs`; the forward direction's global rank
-        splits into a per-node carry (``occF``, pairs seen in earlier
-        chunks) plus a within-chunk cumcount from one bounded argsort.
-        The int64 pass-1 accumulators are freed before pass 2, so the
-        pass-2 peak is the persistent CSR plus four int32 node arrays --
-        at 10^8 nodes that is ~2.4 GB less than keeping them alive (see
+        Slot math: row ``s`` of the (src, dst)-sorted directed edge list
+        is the backward block (reverses ``(s, w)`` of pairs ``(w, s)``,
+        ``w`` ascending) followed by the forward block (pairs ``(s, w)``,
+        ``w`` ascending).  The input is ``hi``-major, so a backward slot
+        is pure arithmetic off the global input position (``offB``: row
+        start less the backward pairs of earlier rows).  A forward slot is
+        a per-node cursor (``nxtF``: the next free slot of the row's
+        forward block) plus a within-chunk cumcount from one bounded
+        argsort.  ``grev`` is the cross-link between the two slot arrays.
+
+        Slot arithmetic runs in int32, the format of ``src``/``dst``/
+        ``grev``, so ``n`` and ``2m`` must not pass
+        :data:`CSR_INDEX_LIMIT`: ``n`` is checked on entry and ``2m``
+        right after pass 1, each before the allocations it sizes.  The
+        int64 pass-1 accumulators are freed before pass 2, so the pass-2
+        peak is the persistent CSR plus two int32 node arrays (see
         ``docs/performance.md``, "Scaling to 10^8").
         """
         from ..profiling import phase, profiled_pulls
 
-        degF = np.zeros(n, dtype=np.int64)
-        degB = np.zeros(n, dtype=np.int64)
+        if n > CSR_INDEX_LIMIT:
+            raise ValueError(
+                f"n = {n} nodes exceeds the int32 CSR format limit "
+                f"({CSR_INDEX_LIMIT})"
+            )
+        degF = degB = None  # int64 counts, allocated by the first pairs
         m = 0
         last_key = np.int64(-1)
         nn = np.int64(n)
@@ -610,16 +503,23 @@ class GraphArrays:
                         "strictly increasing (hi, lo)-lex order"
                     )
                 last_key = key[-1]
+                if degF is None:
+                    degF = np.zeros(n, dtype=np.int64)
+                    degB = np.zeros(n, dtype=np.int64)
                 degF += np.bincount(lo, minlength=n)
                 degB += np.bincount(hi, minlength=n)
                 m += c
+        if 2 * m > CSR_INDEX_LIMIT:
+            raise ValueError(
+                f"{m} edges need {2 * m} directed CSR slots, past the "
+                f"int32 CSR format limit ({CSR_INDEX_LIMIT})"
+            )
         self = cls._pair_shell(n)
-        deg = degF + degB
         if not m:
             self.src = np.empty(0, dtype=np.int32)
             self.dst = np.empty(0, dtype=np.int32)
             self.grev = np.empty(0, dtype=np.int32)
-            self.deg = deg
+            self.deg = np.zeros(n, dtype=np.int64)
             return self
         second_pass = chunks()
         if second_pass is first_pass and iter(second_pass) is second_pass:
@@ -635,15 +535,19 @@ class GraphArrays:
                 "generator object"
             )
         with phase("csr_build"):
+            deg = degF + degB
             csum = np.cumsum(deg)
-            startB = (csum - deg).astype(np.int32)
-            startF = (csum - degF).astype(np.int32)
-            cumB = (np.cumsum(degB) - degB).astype(np.int32)
-            # Pass 2 needs only the int32 start/carry arrays built above:
+            nxtF = (csum - degF).astype(np.int32)  # forward block starts
+            # offB = row start less the input position of the row's first
+            # backward pair (= the backward pairs of all earlier rows).
+            csum -= deg
+            csum -= np.cumsum(degB)
+            csum += degB
+            offB = csum.astype(np.int32)
+            # Pass 2 needs only the two int32 node arrays built above:
             # drop the int64 accumulators (3 x 8n bytes) before the big
             # CSR allocations so they never coexist with the edge arrays.
             del csum, degF, degB
-            occF = np.zeros(n, dtype=np.int32)  # forward pairs in prior chunks
             # src never needs a scatter: row s holds deg[s] copies of s.
             src = np.repeat(np.arange(n, dtype=np.int32), deg)
             dst = np.empty(2 * m, dtype=np.int32)
@@ -657,7 +561,7 @@ class GraphArrays:
                 if not c:
                     continue
                 idx = np.arange(c, dtype=np.int32)
-                back = startB[hi] + (base + idx - cumB[hi])
+                back = offB[hi] + (base + idx)
                 # Within a chunk, equal-lo pairs are already hi-ascending
                 # (a consequence of the global (hi, lo) order), so a
                 # (lo, hi) sort groups them without reordering inside
@@ -669,33 +573,23 @@ class GraphArrays:
                 np.not_equal(lo_s[1:], lo_s[:-1], out=run[1:])
                 starts = np.flatnonzero(run).astype(np.int32)
                 lens = np.diff(np.append(starts, np.int32(c)))
+                heads = lo_s[starts]  # unique node ids, one per run
                 fwd = np.empty(c, dtype=np.int32)
-                fwd[order] = (
-                    startF[lo_s] + occF[lo_s]
-                    + (idx - np.repeat(starts, lens))
-                )
-                occF[lo_s[starts]] += lens  # run heads are unique node ids
+                fwd[order] = idx + np.repeat(nxtF[heads] - starts, lens)
+                nxtF[heads] += lens
                 dst[back] = lo
                 dst[fwd] = hi
                 grev[back] = fwd
                 grev[fwd] = back
                 base += c
-        if not base:
-            # An empty second pass is the signature of a factory that
-            # hands back fresh-but-drained generators (it consumed its
-            # underlying source on pass 1): name the fix instead of
-            # reporting a bare count mismatch.
-            raise ValueError(
-                f"chunk factory is not replayable: pass 2 yielded no "
-                f"pairs where pass 1 saw {m} -- the factory consumed its "
-                f"underlying stream on the first pass; it must re-produce "
-                f"the identical chunks on every call (counter-based "
-                f"samplers re-sample for free)"
-            )
         if base != m:
+            # Typically a factory handing back fresh-but-drained
+            # generators (pass 2 then sees no pairs): name the fix.
             raise ValueError(
                 f"chunk factory is not replayable: pass 1 saw {m} pairs, "
-                f"pass 2 saw {base}"
+                f"pass 2 saw {base} -- it must re-produce the identical "
+                f"chunks on every call (counter-based samplers re-sample "
+                f"for free)"
             )
         self.src, self.dst, self.grev, self.deg = src, dst, grev, deg
         return self

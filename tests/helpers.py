@@ -11,8 +11,10 @@ structurally impossible.  ``tests/conftest.py`` re-exports the fixtures.
 from __future__ import annotations
 
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import networkx as nx
+import numpy as np
 
 from repro.api import solve_mis
 
@@ -60,3 +62,29 @@ def assert_equivalent(reference, vectorized):
         vec = asdict(vectorized.node_stats[v])
         diff = {key: (ref[key], vec[key]) for key in ref if ref[key] != vec[key]}
         assert not diff, f"node {v!r} stats diverge (ref, vec): {diff}"
+
+
+def argsort_csr_reference(n, lo, hi):
+    """The order-agnostic CSR build the one pair builder is pinned to.
+
+    Distinct undirected pairs ``lo[i] < hi[i]`` in any order -> the
+    ``src``/``dst``/``grev``/``deg`` arrays of
+    :class:`repro.sim.fast_engine.GraphArrays`, from one int64 argsort of
+    all ``2m`` directed ``(src, dst)`` keys.  Slow and simple on purpose:
+    it shares no slot arithmetic with the builder it checks.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    m = len(lo)
+    nn = np.int64(n)
+    keys = np.concatenate([lo * nn + hi, hi * nn + lo])
+    order = np.argsort(keys)  # (src, dst) ascending == key ascending
+    src = np.concatenate([lo, hi]).astype(np.int32)[order]
+    dst = np.concatenate([hi, lo]).astype(np.int32)[order]
+    # Pre-sort slot i's reverse partner is slot i +- m; mapping both
+    # through the sort permutation yields grev without another sort.
+    pos = np.empty(2 * m, dtype=np.int32)
+    pos[order] = np.arange(2 * m, dtype=np.int32)
+    grev = np.concatenate([pos[m:], pos[:m]])[order]
+    deg = np.bincount(src, minlength=n).astype(np.int64)
+    return SimpleNamespace(n=n, src=src, dst=dst, grev=grev, deg=deg)

@@ -183,7 +183,7 @@ class TestLazyNodeIds:
         gc.collect()
         tracemalloc.start()
         try:
-            ga = GraphArrays.from_distinct_pairs(n, [], [])
+            ga = GraphArrays.from_edges(n, [], [])
             ids = ga.node_ids  # serving the view must stay allocation-free
             assert len(ids) == n
             current, peak = tracemalloc.get_traced_memory()
@@ -232,10 +232,11 @@ class TestChunkedCsrBuild:
         n, p = 2000, 0.5  # ~10^6 undirected pairs
         chunk = 1 << 11
         monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_CHUNK", chunk)
+        monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_THRESHOLD", 0)
         gc.collect()
         tracemalloc.start()
         try:
-            ga = arrays_mod.gnp_arrays_v2(n, p, seed=5, stream=True)
+            ga = arrays_mod.gnp_arrays_v2(n, p, seed=5)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -250,14 +251,16 @@ class TestChunkedCsrBuild:
         )
 
     def test_streaming_build_equals_one_shot(self, monkeypatch):
-        """stream=True is a build strategy, never a different graph."""
+        """Re-sampling instead of buffering is a build strategy, never a
+        different graph."""
         import numpy as np
 
         import repro.graphs.arrays as arrays_mod
 
         monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_CHUNK", 1 << 11)
-        one_shot = arrays_mod.gnp_arrays_v2(500, 0.3, seed=9, stream=False)
-        streamed = arrays_mod.gnp_arrays_v2(500, 0.3, seed=9, stream=True)
+        one_shot = arrays_mod.gnp_arrays_v2(500, 0.3, seed=9)
+        monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_THRESHOLD", 0)
+        streamed = arrays_mod.gnp_arrays_v2(500, 0.3, seed=9)
         for field in ("src", "dst", "grev", "deg"):
             assert np.array_equal(
                 getattr(one_shot, field), getattr(streamed, field)

@@ -47,7 +47,7 @@ from repro.graphs.generators import (
 from repro.sim.fast_engine import GraphArrays
 from repro.sim.network import normalize_graph
 
-from helpers import GRAPH_BUILDERS, GRAPH_IDS
+from helpers import GRAPH_BUILDERS, GRAPH_IDS, argsort_csr_reference
 
 
 def assert_same_graph(arrays: GraphArrays, graph) -> None:
@@ -305,7 +305,7 @@ class TestGraphRngV2:
 
     def test_chunk_size_is_not_part_of_the_format(self, monkeypatch):
         reference = gnp_arrays_v2(150, 0.08, seed=5)
-        monkeypatch.setattr(repro.graphs.arrays, "GNP_V2_CHUNK", 1024)
+        monkeypatch.setattr(repro.graphs.arrays, "GNP_V2_STREAM_CHUNK", 1024)
         chunked = gnp_arrays_v2(150, 0.08, seed=5)
         np.testing.assert_array_equal(chunked.src, reference.src)
         np.testing.assert_array_equal(chunked.dst, reference.dst)
@@ -431,9 +431,12 @@ class TestEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# The direct O(m) CSR build (sorted fast path, argsort fallback, and the
-# two-pass streaming builder).
+# The one CSR builder (from_distinct_pair_chunks, and from_edges as its
+# one-chunk case) against the argsort reference in tests/helpers.py.
 # ----------------------------------------------------------------------
+
+#: The input orders every build is checked on.
+INPUT_ORDERS = ("lo-major", "hi-major", "shuffled")
 
 
 def _distinct_pairs_of(graph):
@@ -443,14 +446,38 @@ def _distinct_pairs_of(graph):
     return ga.n, ga.src[fwd].astype(np.int64), ga.dst[fwd].astype(np.int64)
 
 
-def _assert_same_arrays(a: GraphArrays, b: GraphArrays) -> None:
+def _in_order(lo, hi, order, rng=None):
+    """The same distinct pairs ``(lo, hi)``-sorted, ``(hi, lo)``-sorted
+    (the builder's required order) or shuffled."""
+    if order == "lo-major":
+        perm = np.lexsort((hi, lo))
+    elif order == "hi-major":
+        perm = np.lexsort((lo, hi))
+    else:
+        perm = (rng or np.random.default_rng(7)).permutation(len(lo))
+    return lo[perm], hi[perm]
+
+
+def _chunked(lo, hi, size):
+    """A replayable chunk factory splitting the pairs every ``size``."""
+
+    def make():
+        for i in range(0, max(len(lo), 1), size):
+            yield lo[i : i + size], hi[i : i + size]
+
+    return make
+
+
+def _assert_same_arrays(a, b) -> None:
     assert a.n == b.n
     for field in ("src", "dst", "grev", "deg"):
-        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype, field
+        np.testing.assert_array_equal(x, y)
 
 
 def _assert_csr_invariants(ga: GraphArrays) -> None:
-    """The structural contract every build path must satisfy."""
+    """The structural contract every build must satisfy."""
     m = len(ga.src)
     assert int(ga.deg.sum()) == m
     if not m:
@@ -465,51 +492,50 @@ def _assert_csr_invariants(ga: GraphArrays) -> None:
 
 
 class TestDirectCsrBuild:
-    """`from_distinct_pairs`' sorted fast path vs the argsort reference."""
+    """The one builder vs the argsort reference, on every GRAPH_CASE."""
 
+    @pytest.mark.parametrize("order", INPUT_ORDERS)
     @pytest.mark.parametrize("builder", GRAPH_BUILDERS, ids=GRAPH_IDS)
-    def test_parity_with_argsort_path_across_graph_cases(self, builder):
+    def test_from_edges_matches_reference(self, builder, order):
         n, lo, hi = _distinct_pairs_of(builder())
-        built = GraphArrays.from_distinct_pairs(n, lo, hi)
-        reference = GraphArrays._from_pairs_argsort(n, lo, hi)
-        _assert_same_arrays(built, reference)
+        lo, hi = _in_order(lo, hi, order)
+        built = GraphArrays.from_edges(n, lo, hi)
+        _assert_same_arrays(built, argsort_csr_reference(n, lo, hi))
         _assert_csr_invariants(built)
 
+    @pytest.mark.parametrize("size", [1, 3, None], ids=["1", "3", "whole"])
+    @pytest.mark.parametrize("order", INPUT_ORDERS)
     @pytest.mark.parametrize("builder", GRAPH_BUILDERS, ids=GRAPH_IDS)
-    def test_parity_on_hi_major_order(self, builder):
-        """The v2 sampler's native (hi, lo)-lex order, same graphs."""
+    def test_chunk_builder_matches_reference_or_rejects_order(
+        self, builder, order, size
+    ):
+        """One-chunk and many-chunk builds equal the reference whenever
+        the input is in the required (hi, lo) order; any other order is
+        rejected, never built wrong."""
         n, lo, hi = _distinct_pairs_of(builder())
-        order = np.lexsort((lo, hi))
-        lo, hi = lo[order], hi[order]
-        built = GraphArrays.from_distinct_pairs(n, lo, hi)
-        reference = GraphArrays._from_pairs_argsort(n, lo, hi)
-        _assert_same_arrays(built, reference)
-
-    @pytest.mark.parametrize("builder", GRAPH_BUILDERS, ids=GRAPH_IDS)
-    def test_unsorted_input_falls_back_to_argsort_parity(self, builder):
-        import random
-
-        n, lo, hi = _distinct_pairs_of(builder())
-        idx = list(range(len(lo)))
-        random.Random(7).shuffle(idx)
-        lo, hi = lo[idx], hi[idx]
-        built = GraphArrays.from_distinct_pairs(n, lo, hi)
-        reference = GraphArrays._from_pairs_argsort(n, lo, hi)
-        _assert_same_arrays(built, reference)
-        _assert_csr_invariants(built)
+        lo, hi = _in_order(lo, hi, order)
+        make = _chunked(lo, hi, size or max(len(lo), 1))
+        key = hi * n + lo
+        if (key[1:] > key[:-1]).all():
+            built = GraphArrays.from_distinct_pair_chunks(n, make)
+            _assert_same_arrays(built, argsort_csr_reference(n, lo, hi))
+            _assert_csr_invariants(built)
+        else:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                GraphArrays.from_distinct_pair_chunks(n, make)
 
     def test_empty_graph(self):
-        ga = GraphArrays.from_distinct_pairs(7, [], [])
+        ga = GraphArrays.from_edges(7, [], [])
         assert (len(ga.src), len(ga.dst), len(ga.grev)) == (0, 0, 0)
-        np.testing.assert_array_equal(ga.deg, np.zeros(7, dtype=np.int64))
+        _assert_same_arrays(ga, argsort_csr_reference(7, [], []))
 
     def test_isolated_high_id_nodes(self):
         """Trailing nodes past every edge keep zero-degree CSR rows."""
         n = 5000
         lo = np.arange(10, dtype=np.int64)
         hi = lo + 1
-        ga = GraphArrays.from_distinct_pairs(n, lo, hi)
-        _assert_same_arrays(ga, GraphArrays._from_pairs_argsort(n, lo, hi))
+        ga = GraphArrays.from_edges(n, lo, hi)
+        _assert_same_arrays(ga, argsort_csr_reference(n, lo, hi))
         assert (ga.deg[12:] == 0).all()
         assert int(ga.deg.sum()) == 20
 
@@ -519,10 +545,9 @@ class TestDirectCsrBuild:
         n = 1 << 24
         hi = np.array([n - 1, n - 1, n - 2], dtype=np.int64)
         lo = np.array([0, n - 3, n - 3], dtype=np.int64)
-        order = np.lexsort((lo, hi))
-        ga = GraphArrays.from_distinct_pairs(n, lo[order], hi[order])
-        reference = GraphArrays._from_pairs_argsort(n, lo[order], hi[order])
-        _assert_same_arrays(ga, reference)
+        lo, hi = _in_order(lo, hi, "hi-major")
+        ga = GraphArrays.from_distinct_pair_chunks(n, _chunked(lo, hi, 2))
+        _assert_same_arrays(ga, argsort_csr_reference(n, lo, hi))
         _assert_csr_invariants(ga)
 
     def test_composite_key_headroom_at_int32_id_bound(self):
@@ -532,24 +557,18 @@ class TestDirectCsrBuild:
         n = 2**31 - 1
         assert (n - 1) * n + (n - 2) < 2**63 - 1
 
-    def test_duplicate_pairs_violate_the_contract_identically(self):
-        """Duplicates break the strictly-increasing-key certificate, so
-        the fast path can never take them: they land on the argsort
-        reference and misbehave exactly as they always did."""
-        lo = np.array([0, 0, 1], dtype=np.int64)
-        hi = np.array([1, 1, 2], dtype=np.int64)
-        built = GraphArrays.from_distinct_pairs(4, lo, hi)
-        _assert_same_arrays(built, GraphArrays._from_pairs_argsort(4, lo, hi))
-
     def test_bounds_and_orientation_still_checked(self):
         with pytest.raises(ValueError, match=r"lie in \[0, 3\)"):
-            GraphArrays.from_distinct_pairs(3, [0], [3])
+            GraphArrays.from_edges(3, [0], [3])
         with pytest.raises(ValueError, match="lo < hi"):
-            GraphArrays.from_distinct_pairs(3, [2], [1])
+            GraphArrays.from_distinct_pair_chunks(
+                3, _chunked(np.array([2]), np.array([1]), 1)
+            )
 
     def test_randomized_cross_check(self):
-        """Hypothesis-style sweep, deterministic: random sizes, densities
-        and input orders, every build pinned to the argsort reference."""
+        """Hypothesis-style sweep, deterministic: random sizes, densities,
+        input orders and chunk splits, every build pinned to the argsort
+        reference."""
         import random
 
         pyrng = random.Random(0)
@@ -563,42 +582,83 @@ class TestDirectCsrBuild:
             keep = lo != hi
             key = np.unique(lo[keep] * np.int64(n) + hi[keep])
             lo, hi = key // n, key % n
-            variants = [(lo, hi)]
-            order = np.lexsort((lo, hi))
-            variants.append((lo[order], hi[order]))
-            shuffled = rng.permutation(len(lo))
-            variants.append((lo[shuffled], hi[shuffled]))
-            for vlo, vhi in variants:
-                built = GraphArrays.from_distinct_pairs(n, vlo, vhi)
-                _assert_same_arrays(
-                    built, GraphArrays._from_pairs_argsort(n, vlo, vhi)
-                )
+            reference = argsort_csr_reference(n, lo, hi)
+            for order in INPUT_ORDERS:
+                olo, ohi = _in_order(lo, hi, order, rng)
+                built = GraphArrays.from_edges(n, olo, ohi)
+                _assert_same_arrays(built, reference)
                 _assert_csr_invariants(built)
+            hlo, hhi = _in_order(lo, hi, "hi-major")
+            for size in (1, 3, max(len(lo), 1)):  # chunk splits
+                built = GraphArrays.from_distinct_pair_chunks(
+                    n, _chunked(hlo, hhi, size)
+                )
+                _assert_same_arrays(built, reference)
+
+
+class TestCsrFormatLimit:
+    """n and 2m must fit the int32 CSR format; past it the builder raises
+    instead of wrapping slot arithmetic into the wrong positions."""
+
+    def test_node_count_past_int32_raises_without_allocating(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="int32 CSR format limit"):
+                GraphArrays.from_edges(2**31, [], [])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"traced {peak} bytes before raising"
+
+    def test_node_count_at_the_limit_builds(self, monkeypatch):
+        import repro.sim.fast_engine as fast_engine
+
+        monkeypatch.setattr(fast_engine, "CSR_INDEX_LIMIT", 9)
+        GraphArrays.from_edges(9, [0], [8])
+        with pytest.raises(ValueError, match="n = 10 nodes exceeds"):
+            GraphArrays.from_edges(10, [0], [9])
+
+    def test_directed_edge_count_past_limit_raises_before_pass_2(
+        self, monkeypatch
+    ):
+        import repro.sim.fast_engine as fast_engine
+
+        lo = np.arange(5, dtype=np.int64)
+        hi = lo + 1  # a 6-node path: 5 edges, 2m = 10 directed slots
+        passes = []
+
+        def make():
+            passes.append(1)
+            return ((lo, hi),)
+
+        monkeypatch.setattr(fast_engine, "CSR_INDEX_LIMIT", 10)
+        built = GraphArrays.from_distinct_pair_chunks(6, make)
+        _assert_same_arrays(built, argsort_csr_reference(6, lo, hi))
+        monkeypatch.setattr(fast_engine, "CSR_INDEX_LIMIT", 9)
+        passes.clear()
+        with pytest.raises(ValueError, match="10 directed CSR slots"):
+            GraphArrays.from_distinct_pair_chunks(6, make)
+        assert len(passes) == 1  # never started pass 2's allocations
 
 
 class TestChunkedCsrBuild:
     """`from_distinct_pair_chunks`: the two-pass streaming builder."""
 
-    @staticmethod
-    def _chunked(lo, hi, size):
-        def make():
-            for i in range(0, max(len(lo), 1), size):
-                yield lo[i : i + size], hi[i : i + size]
-
-        return make
-
     @pytest.mark.parametrize("size", [1, 3, 7, 10_000])
     def test_equals_one_shot_across_chunk_splits(self, size):
-        ga = gnp_arrays_v2(400, 0.05, seed=3, stream=False)
+        ga = gnp_arrays_v2(400, 0.05, seed=3)
         fwd = ga.src < ga.dst
         lo64 = ga.src[fwd].astype(np.int64)
         hi64 = ga.dst[fwd].astype(np.int64)
         order = np.lexsort((lo64, hi64))  # the required (hi, lo) order
         lo64, hi64 = lo64[order], hi64[order]
         chunked = GraphArrays.from_distinct_pair_chunks(
-            400, self._chunked(lo64, hi64, size)
+            400, _chunked(lo64, hi64, size)
         )
         _assert_same_arrays(chunked, ga)
+        _assert_same_arrays(chunked, argsort_csr_reference(400, lo64, hi64))
         _assert_csr_invariants(chunked)
 
     def test_empty_stream(self):
@@ -617,25 +677,25 @@ class TestChunkedCsrBuild:
             yield lo[1:], hi[1:]
 
         ga = GraphArrays.from_distinct_pair_chunks(3, make)
-        _assert_same_arrays(ga, GraphArrays.from_distinct_pairs(3, lo, hi))
+        _assert_same_arrays(ga, argsort_csr_reference(3, lo, hi))
 
     def test_out_of_order_chunks_rejected(self):
         lo = np.array([0, 0], dtype=np.int64)
         hi = np.array([2, 1], dtype=np.int64)  # (hi, lo) keys decrease
         with pytest.raises(ValueError, match="strictly increasing"):
-            GraphArrays.from_distinct_pair_chunks(3, self._chunked(lo, hi, 1))
+            GraphArrays.from_distinct_pair_chunks(3, _chunked(lo, hi, 1))
 
     def test_duplicate_pairs_rejected(self):
         lo = np.array([0, 0], dtype=np.int64)
         hi = np.array([1, 1], dtype=np.int64)
         with pytest.raises(ValueError, match="strictly increasing"):
-            GraphArrays.from_distinct_pair_chunks(3, self._chunked(lo, hi, 2))
+            GraphArrays.from_distinct_pair_chunks(3, _chunked(lo, hi, 2))
 
     def test_contract_violations_rejected(self):
         with pytest.raises(ValueError, match="lo < hi"):
             GraphArrays.from_distinct_pair_chunks(
                 3,
-                self._chunked(
+                _chunked(
                     np.array([2], dtype=np.int64),
                     np.array([1], dtype=np.int64),
                     1,
@@ -644,7 +704,7 @@ class TestChunkedCsrBuild:
         with pytest.raises(ValueError, match=r"lie in \[0, 3\)"):
             GraphArrays.from_distinct_pair_chunks(
                 3,
-                self._chunked(
+                _chunked(
                     np.array([0], dtype=np.int64),
                     np.array([5], dtype=np.int64),
                     1,
@@ -670,7 +730,7 @@ class TestChunkedCsrBuild:
         pair-count mismatch on the empty second pass."""
         lo = np.array([0, 0], dtype=np.int64)
         hi = np.array([1, 2], dtype=np.int64)
-        gen = self._chunked(lo, hi, 1)()  # one generator, not a factory
+        gen = _chunked(lo, hi, 1)()  # one generator, not a factory
 
         with pytest.raises(
             ValueError,
@@ -685,18 +745,11 @@ class TestChunkedCsrBuild:
         hi = np.array([1, 2], dtype=np.int64)
         chunks = [(lo[:1], hi[:1]), (lo[1:], hi[1:])]
         ga = GraphArrays.from_distinct_pair_chunks(3, lambda: chunks)
-        _assert_same_arrays(ga, GraphArrays.from_distinct_pairs(3, lo, hi))
+        _assert_same_arrays(ga, argsort_csr_reference(3, lo, hi))
 
-    def test_gnp_v2_stream_knob_is_not_part_of_the_format(self):
-        """Every stream mode samples the identical seeded graph."""
-        expected = gnp_arrays_v2(200, 0.1, seed=6, stream=False)
-        _assert_same_arrays(
-            expected, gnp_arrays_v2(200, 0.1, seed=6, stream=True)
-        )
-        _assert_same_arrays(
-            expected, gnp_arrays_v2(200, 0.1, seed=6, stream="auto")
-        )
-
-    def test_unknown_stream_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown stream mode"):
-            gnp_arrays_v2(10, 0.1, stream="yes")
+    def test_gnp_v2_buffering_is_not_part_of_the_format(self, monkeypatch):
+        """Buffered and re-sampled chunk streams build the identical
+        seeded graph."""
+        buffered = gnp_arrays_v2(200, 0.1, seed=6)
+        monkeypatch.setattr(repro.graphs.arrays, "GNP_V2_STREAM_THRESHOLD", 0)
+        _assert_same_arrays(buffered, gnp_arrays_v2(200, 0.1, seed=6))

@@ -193,13 +193,14 @@ class TestPipelineIntegration:
         from repro.plan import RunPlan
 
         monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_CHUNK", 1 << 11)
+        monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_THRESHOLD", 0)
         plan = RunPlan(
             algorithm="fast-sleeping", family="gnp-dense", n=400, seed=3,
             engine="vectorized", rng="batched", graph_rng="batched",
             graph_source="arrays", result="arrays",
         )
         with profile_phases(trace=True) as prof:
-            graph = arrays_mod.gnp_arrays_v2(400, 0.5, seed=3, stream=True)
+            graph = arrays_mod.gnp_arrays_v2(400, 0.5, seed=3)
             result = solve_mis(graph, plan=plan)
         assert result.is_valid_mis()
         report = prof.report()
@@ -224,6 +225,27 @@ class TestPipelineIntegration:
             return prof.calls
 
         assert one_run() == one_run()
+
+    @pytest.mark.parametrize("entry", ["solve_mis", "run_trial", "run_trials"])
+    def test_generator_engine_books_the_engine_phase(self, entry):
+        """``engine="generators"`` runs are profiled like the vectorized
+        engines: one ``engine`` span per run."""
+        from repro.analysis.complexity import run_trial
+        from repro.api import solve_mis
+        from repro.graphs.arrays import gnp_arrays
+        from repro.sim.batch import run_trials
+
+        graph = gnp_arrays(60, 0.1, seed=2)
+        run = {
+            "solve_mis": lambda: solve_mis(graph, engine="generators"),
+            "run_trial": lambda: run_trial(graph, "luby"),
+            "run_trials": lambda: run_trials(
+                graph, "luby", seeds=[0], engine="generators"
+            ),
+        }[entry]
+        with profile_phases() as prof:
+            run()
+        assert prof.calls.get("engine") == 1
 
     def test_module_state_is_clean_for_other_tests(self):
         assert prof_mod._ACTIVE is None
