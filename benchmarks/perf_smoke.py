@@ -21,7 +21,11 @@ each against the committed ``benchmarks/artifacts/BENCH_perf_smoke.json``:
   (``graph_rng="batched"``) vectorized sampling stream, guarding the
   whole-array geometric-skip sampler and the ``from_distinct_pair_chunks``
   CSR build that break the 10^6 barrier (the full 10^6 *pipeline*
-  comparison lives in ``bench_scale_1e6.py``, outside the smoke budget).
+  comparison lives in ``bench_scale_1e6.py``, outside the smoke budget);
+* ``gnp_1e6_sample`` / ``gnp_1e6_csr_build`` -- the ``sample`` and
+  ``csr_build`` phase self times of that same build (untraced
+  :func:`repro.profiling.profile_phases`), so a regression in the
+  10^6 graph build names its layer.
 
 (The sweep-based measurements run on the sweep defaults --
 ``graph_source="auto"``/``result="auto"`` -- so a change that silently
@@ -72,6 +76,25 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
     return min(times)
 
 
+def _best_phases(fn, names, repeats: int = REPEATS) -> dict:
+    """Best-of wall time of ``fn()`` (key ``"wall"``) and the best self
+    time of each named profiling phase, every repeat under an untraced
+    profiler."""
+    from repro.profiling import profile_phases
+
+    best: dict = {}
+    for _ in range(repeats):
+        with profile_phases() as prof:
+            start = time.perf_counter()
+            fn()
+            wall = time.perf_counter() - start
+        report = prof.report()
+        times = {"wall": wall, **{n: report[n]["wall_s"] for n in names}}
+        for key, value in times.items():
+            best[key] = min(best.get(key, value), value)
+    return best
+
+
 def _calibrate() -> float:
     """Seconds for a fixed CPU workload shaped like the engines' profile
     (Python-level RNG loop + numpy index/bincount passes)."""
@@ -96,7 +119,9 @@ def _plans() -> dict:
     embedded as the artifact's ``config.plans`` block, so the committed
     baseline states exactly which knob configuration each calibrated
     unit was measured under (and ``check_artifacts.py`` re-validates
-    them against the current registries).
+    them against the current registries).  The ``gnp_1e6_sample`` and
+    ``gnp_1e6_csr_build`` phase entries time the
+    ``gnp_1e6_sampler_batched`` build and share its plan.
     """
     from repro.plan import RunPlan
 
@@ -125,6 +150,10 @@ def _measurements(plans: dict) -> dict:
 
     # Warm imports and caches before timing anything.
     build_table1(sizes=(64,), trials=1, algorithms=("luby",))
+    gnp_1e6 = _best_phases(
+        plans["gnp_1e6_sampler_batched"].build_graph,
+        ("sample", "csr_build"),
+    )
 
     return {
         "table1_auto": _best_of(
@@ -157,9 +186,9 @@ def _measurements(plans: dict) -> dict:
                 sizes=(100_000,), trials=1, seed0=11,
             )
         ),
-        "gnp_1e6_sampler_batched": _best_of(
-            lambda: plans["gnp_1e6_sampler_batched"].build_graph()
-        ),
+        "gnp_1e6_sampler_batched": gnp_1e6["wall"],
+        "gnp_1e6_sample": gnp_1e6["sample"],
+        "gnp_1e6_csr_build": gnp_1e6["csr_build"],
     }
 
 

@@ -315,6 +315,64 @@ def supports(algorithm: str, **constraints: Any) -> bool:
     return unsupported_reason(algorithm, **constraints) is None
 
 
+def _write_pair_chunk(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    base: int,
+    nxtF: np.ndarray,
+    offB: np.ndarray,
+    dst: np.ndarray,
+    grev: np.ndarray,
+) -> None:
+    """Pass 2 of :meth:`GraphArrays.from_distinct_pair_chunks` for one
+    chunk: write the pairs at input positions ``base, base + 1, ...`` into
+    their ``dst``/``grev`` slots and advance the forward cursors ``nxtF``.
+    A function of its own so that every chunk temporary is freed before
+    the next chunk is pulled.
+    """
+    c = len(lo)
+    idx = np.arange(c, dtype=np.int64)
+    # Group the pairs by lo with one in-place sort of the key (lo << s) |
+    # idx.  Keys are distinct, so the sort is stable by construction
+    # (equal-lo pairs keep their hi-ascending input order), and both the
+    # permutation and the sorted lo come back out of the key without a
+    # gather.  lo < 2^31 and c <= 2^30 (2m is within CSR_INDEX_LIMIT and
+    # c matched its pass-1 fingerprint), so the key stays below 2^62.
+    s = c.bit_length()
+    key = lo << s
+    key |= idx
+    key.sort()
+    order = key & ((1 << s) - 1)
+    key >>= s
+    lo_s = key
+    run = np.empty(c, dtype=bool)
+    run[0] = True
+    np.not_equal(lo_s[1:], lo_s[:-1], out=run[1:])
+    starts = np.flatnonzero(run)
+    lens = np.diff(np.append(starts, c))
+    heads = lo_s[starts]  # unique node ids, one per run
+    # Forward slots in sorted order: each run continues its row's cursor,
+    # so fwd_s ascends and the writes through it are slot-ordered.
+    fwd_s = np.repeat(nxtF[heads] - starts, lens)
+    fwd_s += idx
+    nxtF[heads] += lens
+    back = offB[hi] + idx  # ascending backward slots
+    back += base
+    del idx, key, lo_s, run, starts, lens, heads
+    # One gather moves both forward payloads, packed as hi << 32 | back
+    # (back < 2^31).
+    pay = hi << 32
+    pay |= back
+    pay = pay[order]
+    grev[fwd_s] = pay & 0xFFFFFFFF
+    pay >>= 32
+    dst[fwd_s] = pay
+    fwd = np.empty(c, dtype=np.int32)  # fwd_s in input order
+    fwd[order] = fwd_s
+    dst[back] = lo
+    grev[back] = fwd
+
+
 class GraphArrays:
     """The seed-independent array view of one graph.
 
@@ -442,14 +500,17 @@ class GraphArrays:
         here: :meth:`from_edges` hands over one chunk, the v2 sampler a
         buffered chunk list or a re-sampling generator
         (:func:`repro.graphs.arrays.gnp_arrays_v2`).  Pass 1 only
-        accumulates the per-node degree counts; pass 2 re-pulls the
-        chunks and scatters each straight into its final CSR slots, so
-        peak transient memory is O(n) node arrays plus a few index
-        temporaries per *chunk*, never per graph -- the whole point for
-        dense families at 1e7 (see ``docs/performance.md``).  The factory
-        must replay the identical chunk stream twice (a chunk list does;
-        counter-based samplers re-sample for free); a length mismatch
-        between passes is detected and raised.
+        accumulates the per-node degree counts, in O(chunk) work per
+        chunk; pass 2 re-pulls the chunks and writes each straight into
+        its final CSR slots, so peak transient memory is O(n) node arrays
+        plus a few index temporaries per *chunk*, never per graph -- the
+        whole point for dense families at 1e7 (see
+        ``docs/performance.md``).  The factory must replay the identical
+        chunk stream twice (a chunk list does; counter-based samplers
+        re-sample for free).  Pass 1 fingerprints every chunk (length,
+        ``lo`` sum, ``hi`` sum) and pass 2 checks each replayed chunk
+        against its fingerprint before writing it, so a replay that
+        diverges there, or in its total pair count, raises.
 
         Slot math: row ``s`` of the (src, dst)-sorted directed edge list
         is the backward block (reverses ``(s, w)`` of pairs ``(w, s)``,
@@ -458,8 +519,11 @@ class GraphArrays:
         is pure arithmetic off the global input position (``offB``: row
         start less the backward pairs of earlier rows).  A forward slot is
         a per-node cursor (``nxtF``: the next free slot of the row's
-        forward block) plus a within-chunk cumcount from one bounded
-        argsort.  ``grev`` is the cross-link between the two slot arrays.
+        forward block) plus the pair's rank among the chunk's pairs with
+        the same ``lo``, read off one sort per chunk of a packed
+        ``(lo, position)`` key; in that order the forward slots ascend,
+        so the forward writes are slot-ordered.  ``grev`` is the
+        cross-link between the two slot arrays.
 
         Slot arithmetic runs in int32, the format of ``src``/``dst``/
         ``grev``, so ``n`` and ``2m`` must not pass
@@ -480,6 +544,9 @@ class GraphArrays:
         m = 0
         last_key = np.int64(-1)
         nn = np.int64(n)
+        # (length, lo sum, hi sum) of every non-empty pass-1 chunk: pass 2
+        # checks each replayed chunk against these before writing it.
+        fingerprints = []
         first_pass = chunks()
         with phase("csr_build"):
             for lo, hi in profiled_pulls("sample", first_pass):
@@ -506,8 +573,12 @@ class GraphArrays:
                 if degF is None:
                     degF = np.zeros(n, dtype=np.int64)
                     degB = np.zeros(n, dtype=np.int64)
-                degF += np.bincount(lo, minlength=n)
-                degB += np.bincount(hi, minlength=n)
+                # O(chunk) counts: lo is scattered pair by pair, and the
+                # sorted hi spans just [hi[0], hi[-1]].
+                np.add.at(degF, lo, 1)
+                h0 = hi[0]
+                degB[h0 : hi[-1] + 1] += np.bincount(hi - h0)
+                fingerprints.append((c, int(lo.sum()), int(hi.sum())))
                 m += c
         if 2 * m > CSR_INDEX_LIMIT:
             raise ValueError(
@@ -553,6 +624,7 @@ class GraphArrays:
             dst = np.empty(2 * m, dtype=np.int32)
             grev = np.empty(2 * m, dtype=np.int32)
         base = 0
+        expected = iter(fingerprints)
         with phase("csr_build"):
             for lo, hi in profiled_pulls("sample", second_pass):
                 lo = np.asarray(lo, dtype=np.int64)
@@ -560,27 +632,15 @@ class GraphArrays:
                 c = len(lo)
                 if not c:
                     continue
-                idx = np.arange(c, dtype=np.int32)
-                back = offB[hi] + (base + idx)
-                # Within a chunk, equal-lo pairs are already hi-ascending
-                # (a consequence of the global (hi, lo) order), so a
-                # (lo, hi) sort groups them without reordering inside
-                # groups.
-                order = np.argsort(lo * nn + hi)
-                lo_s = lo[order]
-                run = np.empty(c, dtype=bool)
-                run[0] = True
-                np.not_equal(lo_s[1:], lo_s[:-1], out=run[1:])
-                starts = np.flatnonzero(run).astype(np.int32)
-                lens = np.diff(np.append(starts, np.int32(c)))
-                heads = lo_s[starts]  # unique node ids, one per run
-                fwd = np.empty(c, dtype=np.int32)
-                fwd[order] = idx + np.repeat(nxtF[heads] - starts, lens)
-                nxtF[heads] += lens
-                dst[back] = lo
-                dst[fwd] = hi
-                grev[back] = fwd
-                grev[fwd] = back
+                if next(expected, None) != (c, int(lo.sum()), int(hi.sum())):
+                    raise ValueError(
+                        "chunk factory is not replayable: a pass-2 chunk "
+                        "differs from pass 1's in length, lo sum or hi "
+                        "sum -- it must re-produce the identical chunks on "
+                        "every call (counter-based samplers re-sample for "
+                        "free)"
+                    )
+                _write_pair_chunk(lo, hi, base, nxtF, offB, dst, grev)
                 base += c
         if base != m:
             # Typically a factory handing back fresh-but-drained

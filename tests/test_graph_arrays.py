@@ -646,8 +646,13 @@ class TestCsrFormatLimit:
 class TestChunkedCsrBuild:
     """`from_distinct_pair_chunks`: the two-pass streaming builder."""
 
-    @pytest.mark.parametrize("size", [1, 3, 7, 10_000])
+    @pytest.mark.parametrize(
+        "size", [1, 3, 7, 2**7 - 1, 2**7, 2**7 + 1, 2**10, 10_000]
+    )
     def test_equals_one_shot_across_chunk_splits(self, size):
+        """Chunk lengths on both sides of a power of two change the bit
+        width of the packed pass-2 sort key; every split must still build
+        the identical CSR."""
         ga = gnp_arrays_v2(400, 0.05, seed=3)
         fwd = ga.src < ga.dst
         lo64 = ga.src[fwd].astype(np.int64)
@@ -660,6 +665,29 @@ class TestChunkedCsrBuild:
         _assert_same_arrays(chunked, ga)
         _assert_same_arrays(chunked, argsort_csr_reference(400, lo64, hi64))
         _assert_csr_invariants(chunked)
+
+    def test_one_chunk_at_the_top_of_a_large_id_space(self):
+        """One chunk whose hi values sit just under a multi-million n
+        while its lo values spread down to 0: the chunk's hi range starts
+        far from 0 (the range-bounded backward count) and its packed
+        (lo, position) keys cover the whole lo range."""
+        n = 3_000_001
+        rng = np.random.default_rng(11)
+        hi = np.repeat(np.arange(n - 40, n, dtype=np.int64), 25)
+        lo = np.concatenate(
+            [
+                np.sort(rng.choice(h, size=25, replace=False))
+                for h in range(n - 40, n)
+            ]
+        )
+        lo[0] = 0
+        lo, hi = _in_order(lo, hi, "hi-major")
+        ga = GraphArrays.from_distinct_pair_chunks(
+            n, _chunked(lo, hi, len(lo))
+        )
+        _assert_same_arrays(ga, argsort_csr_reference(n, lo, hi))
+        _assert_csr_invariants(ga)
+        assert int(ga.deg[n - 40 :].min()) >= 25
 
     def test_empty_stream(self):
         ga = GraphArrays.from_distinct_pair_chunks(5, lambda: iter(()))
@@ -719,6 +747,36 @@ class TestChunkedCsrBuild:
         def make():
             k = next(passes)
             yield lo[:k], hi[:k]
+
+        with pytest.raises(ValueError, match="not replayable"):
+            GraphArrays.from_distinct_pair_chunks(3, make)
+
+    def test_divergent_replay_of_equal_length_detected(self):
+        """Pass 2 yields as many pairs as pass 1 but different ones: the
+        degree counts no longer fit the pairs, so the build must raise
+        before writing any slot instead of returning a corrupt CSR."""
+        passes = iter(
+            [
+                ([0, 0, 1], [1, 2, 2]),  # (0,1) (0,2) (1,2)
+                ([0, 0, 0], [1, 2, 3]),  # (0,1) (0,2) (0,3)
+            ]
+        )
+
+        def make():
+            lo, hi = next(passes)
+            yield np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+        with pytest.raises(ValueError, match="not replayable"):
+            GraphArrays.from_distinct_pair_chunks(4, make)
+
+    def test_replay_with_extra_chunks_detected(self):
+        lo = np.array([0, 0], dtype=np.int64)
+        hi = np.array([1, 2], dtype=np.int64)
+        passes = iter([1, 2])  # second pass yields one more chunk
+
+        def make():
+            for i in range(next(passes)):
+                yield lo[i : i + 1], hi[i : i + 1]
 
         with pytest.raises(ValueError, match="not replayable"):
             GraphArrays.from_distinct_pair_chunks(3, make)
