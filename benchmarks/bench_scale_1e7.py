@@ -20,7 +20,8 @@ and the streaming two-pass CSR build of
   validate, flatten -- on the fully batched pipeline
   (``graph_rng="batched"`` + ``rng="batched"``), in bounded memory,
   with the paper's O(1) node-averaged awake complexity asserted at
-  10^7.  Alongside it, the v1 ``"pernode"`` seeding floor: building
+  10^7, and the trial's ``phases`` block (untraced
+  :func:`repro.profiling.profile_phases`) committed with it.  Alongside it, the v1 ``"pernode"`` seeding floor: building
   every node stream via :func:`repro.sim.rng.node_rng_bulk` must stay
   >= 2x faster than the historical per-node constructor loop at 10^6
   nodes, values bit-for-bit identical.  (Excluded from the CI smoke
@@ -129,12 +130,16 @@ def test_sleeping_1e7_pipeline(benchmark):
         # streams (a v1-sampler comparison at this size would take
         # minutes in the Python skip loop; the v1 floors live in the
         # 10^6 artifact and the seeding micro-bench above).
-        start = time.perf_counter()
-        rows = sweep(plan=plan, sizes=(N,), trials=1, seed0=SEED0)
-        pipeline_s = time.perf_counter() - start
-        return rows, pipeline_s, old_s, bulk_s
+        # Untraced phase spans: tracemalloc would tax the timed wall.
+        with profile_phases() as prof:
+            start = time.perf_counter()
+            rows = sweep(plan=plan, sizes=(N,), trials=1, seed0=SEED0)
+            pipeline_s = time.perf_counter() - start
+        return rows, pipeline_s, old_s, bulk_s, prof
 
-    (rows, pipeline_s, old_s, bulk_s), _ = timed_once(benchmark, measure)
+    (rows, pipeline_s, old_s, bulk_s, prof), _ = timed_once(
+        benchmark, measure
+    )
 
     row = rows[0]
     assert (row.valid, row.undecided) == (True, 0)
@@ -174,4 +179,5 @@ def test_sleeping_1e7_pipeline(benchmark):
             "speedup": round(seeding_speedup, 3),
             "speedup_floor": SEEDING_FLOOR,
         },
+        phases=prof.report(),
     )

@@ -15,7 +15,9 @@ ROADMAP's scale target made executable, in two stages:
   validation) and on the array-native pipeline (direct-to-CSR sampling +
   ``ArrayRunResult`` + O(m) numpy validation).  Identical measured
   values, >= 1.7x end-to-end -- the committed ``BENCH_scale_1e5.json``
-  records both wall clocks.  (Excluded from the CI smoke ``-k`` filter;
+  records both wall clocks, and a ``phases`` block splitting the
+  array-native trial into sample / csr_build / engine / result_build
+  (untraced :func:`repro.profiling.profile_phases`).  (Excluded from the CI smoke ``-k`` filter;
   run it locally or via the repro command in EXPERIMENTS.md.)
 """
 
@@ -23,6 +25,7 @@ from conftest import record, timed_once, write_artifact
 
 from repro.analysis.complexity import sweep
 from repro.plan import RunPlan
+from repro.profiling import profile_phases
 
 SIZES = (1_000, 10_000)
 TRIALS = 3
@@ -85,19 +88,25 @@ def test_sleeping_1e5_array_native_speedup(benchmark):
     import time
 
     def run(graph_source, result):
-        start = time.perf_counter()
-        rows = sweep(
-            plan=SWEEP_PLAN.replace(graph_source=graph_source, result=result),
-            sizes=(N_LARGE,), trials=1, seed0=SEED0,
-        )
-        return rows, time.perf_counter() - start
+        # Untraced: phase spans without tracemalloc keep both sides'
+        # wall clocks (and so the asserted speedup) honest.
+        with profile_phases() as prof:
+            start = time.perf_counter()
+            rows = sweep(
+                plan=SWEEP_PLAN.replace(
+                    graph_source=graph_source, result=result
+                ),
+                sizes=(N_LARGE,), trials=1, seed0=SEED0,
+            )
+            elapsed = time.perf_counter() - start
+        return rows, elapsed, prof
 
     def measure():
-        legacy_rows, legacy_s = run("networkx", "legacy")
-        arrays_rows, arrays_s = run("arrays", "arrays")
-        return legacy_rows, legacy_s, arrays_rows, arrays_s
+        legacy_rows, legacy_s, _ = run("networkx", "legacy")
+        arrays_rows, arrays_s, prof = run("arrays", "arrays")
+        return legacy_rows, legacy_s, arrays_rows, arrays_s, prof
 
-    (legacy_rows, legacy_s, arrays_rows, arrays_s), _ = timed_once(
+    (legacy_rows, legacy_s, arrays_rows, arrays_s, prof), _ = timed_once(
         benchmark, measure
     )
 
@@ -150,4 +159,5 @@ def test_sleeping_1e5_array_native_speedup(benchmark):
         speedup=round(speedup, 3),
         speedup_floor=SPEEDUP_FLOOR,
         node_avg_awake=round(b.node_averaged_awake, 3),
+        phases=prof.report(),
     )

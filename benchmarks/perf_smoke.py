@@ -17,6 +17,10 @@ each against the committed ``benchmarks/artifacts/BENCH_perf_smoke.json``:
   fully array-native pipeline (``graph_source="arrays"`` +
   ``result="arrays"``), guarding the direct-to-CSR sampling and
   struct-of-arrays result wins;
+* ``sleeping_1e5_engine`` -- the ``engine`` phase self time of that
+  same trial (untraced :func:`repro.profiling.profile_phases`), so an
+  engine regression names its layer instead of hiding in the sampling
+  and result-build share of the wall;
 * ``gnp_1e6_sampler_batched`` -- a 10^6-node gnp-sparse sample on the v2
   (``graph_rng="batched"``) vectorized sampling stream, guarding the
   whole-array geometric-skip sampler and the ``from_distinct_pair_chunks``
@@ -121,7 +125,8 @@ def _plans() -> dict:
     unit was measured under (and ``check_artifacts.py`` re-validates
     them against the current registries).  The ``gnp_1e6_sample`` and
     ``gnp_1e6_csr_build`` phase entries time the
-    ``gnp_1e6_sampler_batched`` build and share its plan.
+    ``gnp_1e6_sampler_batched`` build and share its plan;
+    ``sleeping_1e5_engine`` shares ``sleeping_1e5_arrays``'.
     """
     from repro.plan import RunPlan
 
@@ -154,6 +159,13 @@ def _measurements(plans: dict) -> dict:
         plans["gnp_1e6_sampler_batched"].build_graph,
         ("sample", "csr_build"),
     )
+    sleeping_1e5 = _best_phases(
+        lambda: sweep(
+            plan=plans["sleeping_1e5_arrays"],
+            sizes=(100_000,), trials=1, seed0=11,
+        ),
+        ("engine",),
+    )
 
     return {
         "table1_auto": _best_of(
@@ -180,12 +192,8 @@ def _measurements(plans: dict) -> dict:
                 sizes=(10_000,), trials=2, seed0=11,
             )
         ),
-        "sleeping_1e5_arrays": _best_of(
-            lambda: sweep(
-                plan=plans["sleeping_1e5_arrays"],
-                sizes=(100_000,), trials=1, seed0=11,
-            )
-        ),
+        "sleeping_1e5_arrays": sleeping_1e5["wall"],
+        "sleeping_1e5_engine": sleeping_1e5["engine"],
         "gnp_1e6_sampler_batched": gnp_1e6["wall"],
         "gnp_1e6_sample": gnp_1e6["sample"],
         "gnp_1e6_csr_build": gnp_1e6["csr_build"],

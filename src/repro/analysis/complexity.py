@@ -19,12 +19,8 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
 from ..graphs.arrays import DEFAULT_GRAPH_RNG, make_family
 from ..graphs.validation import is_maximal_independent_set
-from ..sim.array_result import ArrayRunResult, resolve_result_kind
-from ..sim.batch import (
-    iter_trials,
-    make_vectorized_engine,
-    run_generator_engine,
-)
+from ..sim.array_result import ArrayRunResult
+from ..sim.batch import iter_trials, run_planned_trial
 from ..sim.energy import DEFAULT_MODEL, EnergyModel
 from ..sim.metrics import RunResult
 from ..sim.rng import DEFAULT_STREAM
@@ -111,8 +107,11 @@ def run_trial(
     like :func:`sweep` take ``(algorithm, family)``); everything else is
     keyword-only, so cross-use fails with a clear named-argument error.
     Pass ``plan=`` (a :class:`repro.plan.RunPlan`) instead of loose
-    knobs; ``family`` here is the row *label* written into the
-    :class:`Trial` (often not a registered family name), and
+    knobs and the positional algorithm (any algorithm next to ``plan=``
+    is a clash); the run is :func:`repro.sim.batch.run_planned_trial`,
+    so every plan field -- ``max_rounds`` and ``dtype`` included --
+    reaches the engine.  ``family`` here is the row *label* written into
+    the :class:`Trial` (often not a registered family name), and
     ``energy_model`` a live model object, so both stay outside the plan.
 
     The default engine stays ``"generators"`` because single-trial callers
@@ -129,17 +128,11 @@ def run_trial(
             "run_trial() needs an algorithm: pass it positionally "
             "(run_trial(graph, 'luby')) or inside plan="
         )
-    if plan is not None and algorithm is not None and algorithm != plan.algorithm:
-        raise ValueError(
-            f"run_trial() got algorithm={algorithm!r} and a plan with "
-            f"algorithm={plan.algorithm!r}; derive a variant with "
-            f"plan.replace(algorithm=...) instead"
-        )
     plan = ensure_plan(
         "run_trial",
         plan,
         given=dict(
-            algorithm="fast-sleeping" if algorithm is None else algorithm,
+            algorithm=algorithm,
             seed=seed,
             congest_bit_limit=congest_bit_limit,
             engine=engine,
@@ -148,7 +141,7 @@ def run_trial(
             protocol_kwargs=protocol_kwargs,
         ),
         defaults=dict(
-            algorithm="fast-sleeping" if algorithm is None else algorithm,
+            algorithm=None,
             seed=0,
             congest_bit_limit=None,
             engine="generators",
@@ -157,25 +150,9 @@ def run_trial(
             protocol_kwargs={},
         ),
     )
-    algorithm = plan.algorithm
-    protocol_kwargs = plan.protocol_dict()
-    resolved = plan.resolved_engine
-    result_kind = resolve_result_kind(plan.result, resolved)
-    if resolved == "vectorized":
-        run = make_vectorized_engine(
-            graph, algorithm, seed=plan.seed, rng=plan.rng,
-            result=result_kind, dtype=plan.dtype, **protocol_kwargs,
-        ).run()
-    else:
-        run = run_generator_engine(
-            graph, algorithm, seed=plan.seed,
-            congest_bit_limit=plan.congest_bit_limit, rng=plan.rng,
-            **protocol_kwargs,
-        )
-        if result_kind == "arrays":
-            run = ArrayRunResult.from_run_result(run, plan.dtype)
+    run = run_planned_trial(graph, plan, plan.seed)
     trial = trial_from_result(
-        run, algorithm, family=family, seed=plan.seed,
+        run, plan.algorithm, family=family, seed=plan.seed,
         energy_model=energy_model,
     )
     return run, trial

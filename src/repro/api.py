@@ -94,7 +94,7 @@ def make_protocol_factory(
 
 def solve_mis(
     graph: Any,
-    algorithm: str = "fast-sleeping",
+    algorithm: Optional[str] = None,
     *,
     plan: Optional["RunPlan"] = None,
     seed: Optional[int] = 0,
@@ -122,13 +122,17 @@ def solve_mis(
         One of :func:`algorithm_names` -- ``"sleeping"`` (Algorithm 1),
         ``"fast-sleeping"`` (Algorithm 2, the default), ``"luby"``,
         ``"greedy"`` (distributed randomized greedy), ``"ghaffari"``, or
-        ``"abi"`` (Alon--Babai--Itai).
+        ``"abi"`` (Alon--Babai--Itai).  ``None`` means
+        ``"fast-sleeping"``.
     plan:
         A pre-validated :class:`repro.plan.RunPlan` carrying the full
         knob configuration (algorithm, engine, rng, result, ...).
-        Mutually exclusive with the loose knob keywords below; derive
-        variants with ``plan.replace(...)``.  ``trace`` stays a loose
-        argument (a live instrumentation object, not configuration).
+        Mutually exclusive with ``algorithm`` and the loose knob keywords
+        below; derive variants with ``plan.replace(...)``.  ``trace``
+        stays a loose argument (a live instrumentation object, not
+        configuration).  The run itself is
+        :func:`repro.sim.batch.run_planned_trial`, the one function every
+        entry point hands its plan to.
     seed:
         Master seed for all per-node random streams.
     engine:
@@ -164,12 +168,7 @@ def solve_mis(
         available as properties on either result type.
     """
     from .plan import ensure_plan
-    from .sim.array_result import resolve_result_kind
-    from .sim.batch import (
-        make_vectorized_engine,
-        resolve_engine,
-        run_generator_engine,
-    )
+    from .sim.batch import run_planned_trial
 
     plan = ensure_plan(
         "solve_mis",
@@ -186,7 +185,7 @@ def solve_mis(
             protocol_kwargs=protocol_kwargs,
         ),
         defaults=dict(
-            algorithm="fast-sleeping",
+            algorithm=None,
             seed=0,
             congest_bit_limit=None,
             max_rounds=None,
@@ -197,39 +196,4 @@ def solve_mis(
             protocol_kwargs={},
         ),
     )
-    protocol_kwargs = plan.protocol_dict()
-    # Re-resolve with the live trace object (not part of the plan): a
-    # trace forces the generator engine under engine="auto" and is
-    # rejected under engine="vectorized".
-    resolved = resolve_engine(
-        plan.engine,
-        plan.algorithm,
-        trace=trace,
-        congest_bit_limit=plan.congest_bit_limit,
-        **protocol_kwargs,
-    )
-    result_kind = resolve_result_kind(plan.result, resolved)
-    if resolved == "vectorized":
-        return make_vectorized_engine(
-            graph,
-            plan.algorithm,
-            seed=plan.seed,
-            max_rounds=plan.max_rounds,
-            rng=plan.rng,
-            result=result_kind,
-            dtype=plan.dtype,
-            **protocol_kwargs,
-        ).run()
-    run = run_generator_engine(
-        graph,
-        plan.algorithm,
-        seed=plan.seed,
-        max_rounds=plan.max_rounds,
-        congest_bit_limit=plan.congest_bit_limit,
-        rng=plan.rng,
-        trace=trace,
-        **protocol_kwargs,
-    )
-    if result_kind == "arrays":
-        return ArrayRunResult.from_run_result(run, plan.dtype)
-    return run
+    return run_planned_trial(graph, plan, plan.seed, trace=trace)

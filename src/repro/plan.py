@@ -22,10 +22,12 @@ validated dataclass:
   graph_rng + networkx source, vectorized engine + generator-only
   instrumentation, ...).  A plan that constructs is a plan that runs.
 * **one place to add a knob** -- entry points accept ``plan=`` and pass
-  the object through; their legacy keyword signatures remain as thin
-  shims that build a plan internally.  A sixth knob is a new field here
-  (subclassing works too: entry points and serialization iterate
-  ``dataclasses.fields``, so an extended plan flows through unchanged).
+  the object through to :func:`repro.sim.batch.run_planned_trial`, the
+  one function that turns a plan into an engine call; their legacy
+  keyword signatures remain as thin shims that build a plan internally.
+  A sixth knob is a new field here, read there (subclassing works too:
+  entry points and serialization iterate ``dataclasses.fields``, so an
+  extended plan flows through unchanged).
 * **canonically serializable** -- :meth:`to_json` emits a stable,
   sorted-key, compact JSON form (pinned by tests), :meth:`from_json`
   round-trips it, and :meth:`cache_key` hashes it.  The serialized plan
@@ -330,12 +332,17 @@ def ensure_plan(
 
     With ``plan=None``, builds a :class:`RunPlan` from the entry point's
     loose kwargs (``given``) -- the deprecation-safe path existing
-    callers ride.  With a plan, rejects any loose knob that differs from
-    the entry point's default (``defaults``): the plan is the single
+    callers ride; an ``algorithm`` left at its ``None`` sentinel means
+    the plan default.  With a plan, rejects any loose knob that differs
+    from the entry point's default (``defaults``): the plan is the single
     source of truth, and mixing the two silently would resurrect exactly
-    the foot-guns the plan exists to kill.
+    the foot-guns the plan exists to kill.  Every entry point defaults
+    ``algorithm`` to ``None``, so a positional algorithm next to
+    ``plan=`` is always a clash, even one naming the plan's own.
     """
     if plan is None:
+        if "algorithm" in given and given["algorithm"] is None:
+            given = {k: v for k, v in given.items() if k != "algorithm"}
         return RunPlan(**given)
     if not isinstance(plan, RunPlan):
         raise TypeError(
@@ -351,7 +358,8 @@ def ensure_plan(
         raise ValueError(
             f"{entry_point}() got both plan= and explicit knob(s) "
             f"{clashes}; a RunPlan carries the full configuration -- "
-            f"derive a variant with plan.replace(...) instead of mixing "
-            f"loose keyword knobs in"
+            f"derive a variant with plan.replace("
+            f"{', '.join(name + '=...' for name in clashes)}) instead of "
+            f"mixing loose knobs in"
         )
     return plan

@@ -86,10 +86,9 @@ def solve_payload(plan: RunPlan, seed: int) -> Dict[str, Any]:
 
     key = trial_key(plan, seed)
     _maybe_inject_fault(key)
-    exec_plan = plan if plan.n_jobs is None else plan.replace(n_jobs=None)
     start = time.perf_counter()
     result = run_planned_trial(
-        _graph_for(plan, seed), exec_plan, seed, scratch=_SCRATCH
+        _graph_for(plan, seed), plan, seed, scratch=_SCRATCH
     )
     row = trial_from_result(
         result, plan.algorithm, family=plan.family, seed=seed

@@ -3,17 +3,23 @@
 The paper's results are statistical -- every figure and table averages over
 many trials -- so the measurement loop, not any single run, is the hot
 path.  :func:`iter_trials` streams one :class:`RunResult` per seed, in seed
-order; :func:`run_trials` is the list-returning convenience wrapper.  The
-runner layers four optimizations over naive sequential calls:
+order; :func:`run_trials` is the list-returning convenience wrapper.
 
-* **engine dispatch** -- trials run on a vectorized engine
-  (:mod:`repro.sim.fast_engine` for the sleeping algorithms,
-  :mod:`repro.sim.fast_phased` for the four phased baselines) whenever it
-  supports the configuration, falling back to the generator engine
-  otherwise (``engine="auto"``); ``result="arrays"`` (or ``"auto"``)
-  keeps each trial's statistics as numpy columns
-  (:class:`repro.sim.array_result.ArrayRunResult`) instead of per-node
-  dicts;
+Every trial in the package -- these two, ``solve_mis``, ``run_trial``, the
+sweep and service executors -- is one call of :func:`run_planned_trial`:
+the only code that turns a :class:`repro.plan.RunPlan` into an engine
+call (engine and result-kind resolution, ``dtype``, ``max_rounds``,
+``congest_bit_limit``, protocol kwargs).  A new plan field is threaded
+there once.  Trials run on a vectorized engine
+(:mod:`repro.sim.fast_engine` for the sleeping algorithms,
+:mod:`repro.sim.fast_phased` for the four phased baselines) whenever it
+supports the configuration, falling back to the generator engine
+otherwise (``engine="auto"``); ``result="arrays"`` (or ``"auto"``) keeps
+each trial's statistics as numpy columns
+(:class:`repro.sim.array_result.ArrayRunResult`) instead of per-node
+dicts.  Around that primitive the runner layers three optimizations over
+naive sequential calls:
+
 * **graph-structure reuse** -- consecutive seeds sharing one graph object
   normalize it once and share one
   :class:`repro.sim.fast_engine.GraphArrays`;
@@ -27,14 +33,15 @@ runner layers four optimizations over naive sequential calls:
   builds in bounded transient memory: the v2 sampler streams its pair
   chunks through :meth:`GraphArrays.from_distinct_pair_chunks` instead
   of buffering them -- see docs/performance.md, "Scaling to 10^7").
-  With ``n_jobs`` workers, seed chunks fan out over a
+  With ``n_jobs`` workers, ``(graph, plan, seeds)`` chunks fan out over a
   :class:`concurrent.futures.ProcessPoolExecutor` with a bounded
-  in-flight window; graphs cross process boundaries as plain adjacency
-  dicts or as :class:`GraphArrays` whose edge arrays pickle without the
-  (lazily rebuilt) adjacency dict.  If a pool cannot be started
-  (restricted sandboxes), the runner degrades to sequential execution
-  for the remaining seeds instead of failing; CI additionally pins
-  ``n_jobs=2`` parity with the sequential path on a multi-core runner.
+  in-flight window; graphs cross process boundaries as normalized
+  adjacency dicts or as :class:`GraphArrays` whose edge arrays pickle
+  without the (lazily rebuilt) adjacency dict.  If a pool cannot be
+  started (restricted sandboxes), the runner degrades to sequential
+  execution for the remaining seeds instead of failing; CI additionally
+  pins ``n_jobs=2`` parity with the sequential path on a multi-core
+  runner.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -150,188 +156,131 @@ def make_vectorized_engine(
         )
 
 
-def run_generator_engine(
-    graph: Any,
-    algorithm: str,
-    *,
-    seed: Optional[int] = 0,
-    max_rounds: Optional[int] = None,
-    congest_bit_limit: Optional[int] = None,
-    rng: str = DEFAULT_STREAM,
-    trace: Any = None,
-    **protocol_kwargs: Any,
-) -> RunResult:
-    """One run of ``algorithm`` on the generator (reference) engine.
-
-    The counterpart of ``make_vectorized_engine(...).run()``: protocol
-    construction and the run are attributed to the ``engine`` phase under
-    active profiling, so phase reports cover either engine.
-    """
-    from ..api import make_protocol_factory  # local: avoid import cycle
-
-    with phase("engine"):
-        return Simulator(
-            graph,
-            make_protocol_factory(algorithm, **protocol_kwargs),
-            seed=seed,
-            max_rounds=max_rounds,
-            congest_bit_limit=congest_bit_limit,
-            trace=trace,
-            rng=rng,
-        ).run()
-
-
-def _run_one(
-    adjacency: Optional[Dict[Any, Tuple[Any, ...]]],
-    arrays: Optional[GraphArrays],
-    algorithm: str,
-    seed: Optional[int],
-    engine: str,
-    max_rounds: Optional[int],
-    congest_bit_limit: Optional[int],
-    protocol_kwargs: Dict[str, Any],
-    rng: str = DEFAULT_STREAM,
-    scratch: Optional[EngineScratch] = None,
-    result: str = "legacy",
-    dtype: str = "default",
-) -> ResultLike:
-    """One trial.  ``adjacency`` may be ``None`` for array-native graphs
-    headed to a vectorized engine (the dict view stays unbuilt); the
-    generator path materializes it lazily when it actually runs."""
-    if engine == "vectorized":
-        return make_vectorized_engine(
-            arrays if arrays is not None else GraphArrays(adjacency),
-            algorithm,
-            seed=seed,
-            max_rounds=max_rounds,
-            rng=rng,
-            scratch=scratch,
-            result=result,
-            dtype=dtype,
-            **protocol_kwargs,
-        ).run()
-    if adjacency is None:
-        adjacency = arrays.adjacency
-    run = run_generator_engine(
-        adjacency,
-        algorithm,
-        seed=seed,
-        max_rounds=max_rounds,
-        congest_bit_limit=congest_bit_limit,
-        rng=rng,
-        **protocol_kwargs,
-    )
-    if resolve_result_kind(result, engine) == "arrays":
-        return ArrayRunResult.from_run_result(run, dtype)
-    return run
-
-
 def run_planned_trial(
     graph: Any,
     plan: "RunPlan",
     seed: Optional[int],
     *,
     scratch: Optional[EngineScratch] = None,
+    trace: Any = None,
 ) -> ResultLike:
-    """One trial of ``plan`` on ``graph`` with ``seed``, reusing ``scratch``.
+    """One trial of ``plan`` on ``graph`` with ``seed``: the only code that
+    turns a :class:`RunPlan` into an engine call.
 
-    The single-trial primitive the service worker tier rides: unlike
-    :func:`run_trials` it takes a concrete graph (possibly a prebuilt
-    :class:`GraphArrays`) plus a caller-owned :class:`EngineScratch`, so
-    a long-running worker amortizes both graph normalization and state
-    arrays across requests instead of per process-pool chunk.
+    Every entry point runs its trials here (``solve_mis``, ``run_trial``,
+    :func:`iter_trials` and its pool workers, the sweep and service
+    executors), so a plan field is threaded to the engines once.
+    ``graph`` is anything the engines accept: a networkx graph, an
+    adjacency mapping, or a prebuilt :class:`GraphArrays`.  ``scratch``
+    is an :class:`EngineScratch` the caller reuses across sequential
+    vectorized trials (ignored on the generator engine).  ``trace`` is a
+    live instrumentation object, not configuration: it re-resolves
+    ``engine="auto"`` to the generator engine and is rejected under
+    ``engine="vectorized"``.
+
+    Both engines run under the ``engine`` phase when profiling is active,
+    so phase reports cover either engine.
     """
-    resolved = plan.resolved_engine
-    if isinstance(graph, GraphArrays):
-        adjacency: Optional[Dict[Any, Tuple[Any, ...]]] = None
-        arrays: Optional[GraphArrays] = graph
-    else:
-        adjacency = normalize_graph(graph)
-        arrays = GraphArrays(adjacency) if resolved == "vectorized" else None
-    return _run_one(
-        adjacency,
-        arrays,
+    protocol_kwargs = plan.protocol_dict()
+    engine = resolve_engine(
+        plan.engine,
         plan.algorithm,
-        seed,
-        resolved,
-        plan.max_rounds,
-        plan.congest_bit_limit,
-        plan.protocol_dict(),
-        plan.rng,
-        scratch if resolved == "vectorized" else None,
-        plan.result,
-        plan.dtype,
+        trace=trace,
+        congest_bit_limit=plan.congest_bit_limit,
+        **protocol_kwargs,
     )
+    result = resolve_result_kind(plan.result, engine)
+    if engine == "vectorized":
+        return make_vectorized_engine(
+            graph,
+            plan.algorithm,
+            seed=seed,
+            max_rounds=plan.max_rounds,
+            rng=plan.rng,
+            scratch=scratch,
+            result=result,
+            dtype=plan.dtype,
+            **protocol_kwargs,
+        ).run()
+    from ..api import make_protocol_factory  # local: avoid import cycle
+
+    with phase("engine"):
+        run = Simulator(
+            graph,
+            make_protocol_factory(plan.algorithm, **protocol_kwargs),
+            seed=seed,
+            max_rounds=plan.max_rounds,
+            congest_bit_limit=plan.congest_bit_limit,
+            trace=trace,
+            rng=plan.rng,
+        ).run()
+    if result == "arrays":
+        return ArrayRunResult.from_run_result(run, plan.dtype)
+    return run
 
 
-def _run_chunk(payload: Tuple) -> List[ResultLike]:
-    """Process-pool task: one graph, a chunk of seeds.
-
-    ``graph`` is either a plain adjacency dict or a :class:`GraphArrays`
-    shipped with its lazy adjacency unbuilt -- for array-native sweeps
-    the int32 edge arrays are both smaller on the wire and free to use on
-    arrival (no per-worker re-normalization)."""
-    (
-        graph, algorithm, seeds, engine, max_rounds,
-        congest_bit_limit, protocol_kwargs, rng, result, dtype,
-    ) = payload
+def _prepared(graph: Any, vectorized: bool) -> Any:
+    """``graph`` as the trials on it consume it: a :class:`GraphArrays`
+    (prebuilt, or built here when the engine is vectorized) or the
+    normalized adjacency dict.  A prebuilt :class:`GraphArrays` headed to
+    the generator engine keeps its dict view unbuilt until the engine
+    asks for it."""
     if isinstance(graph, GraphArrays):
-        adjacency, arrays = None, graph
-    else:
-        adjacency = graph
-        arrays = GraphArrays(graph) if engine == "vectorized" else None
-    scratch = EngineScratch() if engine == "vectorized" else None
+        return graph
+    adjacency = normalize_graph(graph)
+    return GraphArrays(adjacency) if vectorized else adjacency
+
+
+def _run_chunk(
+    payload: Tuple[Any, "RunPlan", List[Optional[int]]]
+) -> List[ResultLike]:
+    """Process-pool task: ``(graph, plan, seeds)``, one graph and a chunk
+    of seeds.
+
+    ``graph`` is either a normalized adjacency dict or a
+    :class:`GraphArrays` shipped with its lazy adjacency unbuilt -- for
+    array-native sweeps the int32 edge arrays are both smaller on the
+    wire and free to use on arrival (no per-worker re-normalization).
+    The worker builds a dict's :class:`GraphArrays` once per chunk."""
+    graph, plan, seeds = payload
+    vectorized = plan.resolved_engine == "vectorized"
+    graph = _prepared(graph, vectorized)
+    scratch = EngineScratch() if vectorized else None
     return [
-        _run_one(
-            adjacency, arrays, algorithm, seed, engine, max_rounds,
-            congest_bit_limit, protocol_kwargs, rng, scratch, result, dtype,
-        )
+        run_planned_trial(graph, plan, seed, scratch=scratch)
         for seed in seeds
     ]
 
 
 def _iter_graphs(
-    graph_factory: Any, seeds: Iterable[Optional[int]]
-) -> Iterator[Tuple[Dict[Any, Tuple[Any, ...]], Optional[GraphArrays], Optional[int]]]:
-    """Yield ``(normalized adjacency or None, prebuilt arrays or None,
-    seed)`` lazily, one graph at a time.
+    graph_factory: Any, seeds: Iterable[Optional[int]], vectorized: bool
+) -> Iterator[Tuple[Any, Optional[int]]]:
+    """Yield ``(prepared graph, seed)`` lazily, one graph at a time (see
+    :func:`_prepared`).
 
     Consecutive seeds whose factory returns the *same object* (the
     shared-graph pattern, including non-callable ``graph_factory``) share
-    one normalization.  A factory may return a prebuilt
+    one prepared graph.  A factory may return a prebuilt
     :class:`GraphArrays` to amortize edge-array construction across
     callers (e.g. ``build_table1`` measuring several algorithms on the
     same graphs, or the array-native samplers in
-    :mod:`repro.graphs.arrays`); for those the adjacency slot is ``None``
-    and the dict view stays unbuilt unless the generator engine runs.
+    :mod:`repro.graphs.arrays`).
     """
     factory: Callable[[Optional[int]], Any] = (
         graph_factory if callable(graph_factory) else lambda seed: graph_factory
     )
-    prev_graph: Any = None
-    seen_one = False
-    prev_adjacency: Optional[Dict[Any, Tuple[Any, ...]]] = None
-    prev_arrays: Optional[GraphArrays] = None
+    prev_graph: Any = object()  # is no factory's output
+    prepared: Any = None
     for seed in seeds:
         graph = factory(seed)
-        if not seen_one or graph is not prev_graph:
-            if isinstance(graph, GraphArrays):
-                # The dict view stays unbuilt: array-native graphs headed
-                # to a vectorized engine never need it, and the generator
-                # path materializes it lazily in _run_one.
-                prev_arrays = graph
-                prev_adjacency = None
-            else:
-                prev_arrays = None
-                prev_adjacency = normalize_graph(graph)
-            prev_graph = graph
-            seen_one = True
-        yield prev_adjacency, prev_arrays, seed
+        if graph is not prev_graph:
+            prepared, prev_graph = _prepared(graph, vectorized), graph
+        yield prepared, seed
 
 
 def iter_trials(
     graph_factory: Any,
-    algorithm: str = "fast-sleeping",
+    algorithm: Optional[str] = None,
     *,
     seeds: Iterable[Optional[int]] = range(10),
     plan: Optional["RunPlan"] = None,
@@ -360,7 +309,9 @@ def iter_trials(
         :mod:`repro.graphs.arrays`), which skips graph normalization
         entirely on the vectorized path.
     algorithm:
-        Name from :func:`repro.api.algorithm_names`.
+        Name from :func:`repro.api.algorithm_names`; ``None`` means
+        ``"fast-sleeping"``.  Next to ``plan=`` any algorithm is a clash
+        (the plan names it).
     seeds:
         Master seeds, one trial each (keyword-only).
     plan:
@@ -406,7 +357,7 @@ def iter_trials(
             protocol_kwargs=protocol_kwargs,
         ),
         defaults=dict(
-            algorithm="fast-sleeping",
+            algorithm=None,
             n_jobs=None,
             engine="auto",
             rng=DEFAULT_STREAM,
@@ -429,27 +380,21 @@ def _iter_trials_planned(
 ) -> Iterator[ResultLike]:
     """The generator core behind :func:`iter_trials` (validation happens
     eagerly in the wrapper, not on first ``next()``)."""
-    algorithm = plan.algorithm
-    max_rounds = plan.max_rounds
-    congest_bit_limit = plan.congest_bit_limit
-    rng = plan.rng
-    result = plan.result
-    dtype = plan.dtype
-    protocol_kwargs = plan.protocol_dict()
     seed_list = list(seeds)
     if not seed_list:
         return
-    resolved = plan.resolved_engine
+    vectorized = plan.resolved_engine == "vectorized"
     jobs = _effective_jobs(plan.n_jobs, len(seed_list))
     if jobs > 1:
         from concurrent.futures.process import BrokenProcessPool
 
         done = 0
         try:
+            # Workers build their chunk's GraphArrays themselves, so the
+            # driver only normalizes.
             chunks = _iter_chunks(
-                _iter_graphs(graph_factory, seed_list), algorithm,
-                resolved, max_rounds, congest_bit_limit, protocol_kwargs,
-                rng, result, dtype,
+                _iter_graphs(graph_factory, seed_list, vectorized=False),
+                plan,
                 target=max(1, len(seed_list) // (jobs * 4) or 1),
             )
             for one in _iter_parallel(chunks, jobs):
@@ -469,27 +414,14 @@ def _iter_trials_planned(
             )
             seed_list = seed_list[done:]
 
-    arrays: Optional[GraphArrays] = None
-    arrays_for: Any = None
-    scratch = EngineScratch() if resolved == "vectorized" else None
-    for adjacency, prebuilt, seed in _iter_graphs(graph_factory, seed_list):
-        if prebuilt is not None:
-            arrays, arrays_for = prebuilt, prebuilt
-        elif resolved == "vectorized" and adjacency is not arrays_for:
-            arrays = GraphArrays(adjacency)
-            arrays_for = adjacency
-        yield _run_one(
-            adjacency,
-            arrays if (resolved == "vectorized" or prebuilt is not None)
-            else None,
-            algorithm, seed, resolved, max_rounds,
-            congest_bit_limit, protocol_kwargs, rng, scratch, result, dtype,
-        )
+    scratch = EngineScratch() if vectorized else None
+    for graph, seed in _iter_graphs(graph_factory, seed_list, vectorized):
+        yield run_planned_trial(graph, plan, seed, scratch=scratch)
 
 
 def run_trials(
     graph_factory: Any,
-    algorithm: str = "fast-sleeping",
+    algorithm: Optional[str] = None,
     *,
     seeds: Iterable[Optional[int]] = range(10),
     plan: Optional["RunPlan"] = None,
@@ -527,49 +459,30 @@ def _effective_jobs(n_jobs: Optional[int], n_tasks: int) -> int:
 
 
 def _iter_chunks(
-    graph_seed_iter: Iterator[
-        Tuple[
-            Optional[Dict[Any, Tuple[Any, ...]]],
-            Optional[GraphArrays],
-            Optional[int],
-        ]
-    ],
-    algorithm: str,
-    engine: str,
-    max_rounds: Optional[int],
-    congest_bit_limit: Optional[int],
-    protocol_kwargs: Dict[str, Any],
-    rng: str,
-    result: str,
-    dtype: str,
+    graph_seed_iter: Iterator[Tuple[Any, Optional[int]]],
+    plan: "RunPlan",
     target: int,
-) -> Iterator[Tuple]:
-    """Chunk runs of consecutive seeds that share a graph, so workers
-    amortize :class:`GraphArrays` construction; aim for a few chunks per
-    worker (``target`` seeds each).  The chunk carries whichever graph
-    representation the factory produced: a plain adjacency dict, or a
-    :class:`GraphArrays` whose lazy adjacency stays unbuilt (pickling the
-    int32 edge arrays beats materializing and pickling a 10^5-entry
+) -> Iterator[Tuple[Any, "RunPlan", List[Optional[int]]]]:
+    """Chunk runs of consecutive seeds that share a graph into
+    ``(graph, plan, seeds)`` tasks, so workers amortize
+    :class:`GraphArrays` construction; aim for a few chunks per worker
+    (``target`` seeds each).  The chunk carries whichever graph
+    representation the factory produced: a normalized adjacency dict, or
+    a :class:`GraphArrays` whose lazy adjacency stays unbuilt (pickling
+    the int32 edge arrays beats materializing and pickling a 10^5-entry
     dict)."""
     chunk_graph: Any = None
     chunk_seeds: List[Optional[int]] = []
-    for adjacency, arrays, seed in graph_seed_iter:
-        graph = arrays if arrays is not None else adjacency
+    for graph, seed in graph_seed_iter:
         if chunk_seeds and (
             graph is not chunk_graph or len(chunk_seeds) >= target
         ):
-            yield (
-                chunk_graph, algorithm, chunk_seeds, engine, max_rounds,
-                congest_bit_limit, protocol_kwargs, rng, result, dtype,
-            )
+            yield chunk_graph, plan, chunk_seeds
             chunk_seeds = []
         chunk_graph = graph
         chunk_seeds.append(seed)
     if chunk_seeds:
-        yield (
-            chunk_graph, algorithm, chunk_seeds, engine, max_rounds,
-            congest_bit_limit, protocol_kwargs, rng, result, dtype,
-        )
+        yield chunk_graph, plan, chunk_seeds
 
 
 #: In-flight chunks per worker in the bounded submission window.  Two per

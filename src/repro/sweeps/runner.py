@@ -6,8 +6,9 @@ re-issue failures, then claim -> execute -> ``done``/``fail`` until the
 frontier is drained, the time budget is spent, or ``max_trials`` is hit.
 Execution rides the exact measurement path of
 :func:`repro.analysis.complexity.sweep` -- the same
-:func:`~repro.graphs.arrays.make_family` graph factory, the same
-:func:`~repro.sim.batch.run_trials` batch runner, the same
+:func:`~repro.graphs.arrays.make_family` graph factory (through
+:meth:`~repro.plan.RunPlan.build_graph`), the same
+:func:`~repro.sim.batch.run_planned_trial` every batch trial runs, the same
 :func:`~repro.analysis.complexity.trial_from_result` flattening -- so a
 manifest sweep's merged rows are bit-identical to a plain ``sweep()``
 call over the same grid.
@@ -81,24 +82,15 @@ def execute_trial(plan: RunPlan, seed: int) -> Dict[str, Any]:
     wall clock (stripped from every comparison).
     """
     from ..analysis.complexity import trial_from_result
-    from ..graphs.arrays import make_family
-    from ..sim.batch import run_trials
+    from ..sim.batch import run_planned_trial
 
     key = trial_key(plan, seed)
     _maybe_inject_fault(key)
-    exec_plan = plan if plan.n_jobs is None else plan.replace(n_jobs=None)
-    family, n = plan.family, plan.n
-    source = plan.resolved_graph_source
     start = time.perf_counter()
-    [result] = run_trials(
-        lambda s: make_family(
-            family, n, seed=s, graph_source=source,
-            graph_rng=plan.graph_rng,
-        ),
-        seeds=[seed],
-        plan=exec_plan,
+    result = run_planned_trial(plan.build_graph(seed), plan, seed)
+    row = trial_from_result(
+        result, plan.algorithm, family=plan.family, seed=seed
     )
-    row = trial_from_result(result, plan.algorithm, family=family, seed=seed)
     return {
         "trial_key": key,
         "plan": plan.to_dict(),

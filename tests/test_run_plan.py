@@ -12,15 +12,19 @@ points without touching any signature).
 
 import dataclasses
 
+import networkx as nx
 import pytest
 
 from repro import RunPlan, solve_mis
-from repro.analysis.complexity import run_trial, sweep
+from repro.analysis.complexity import run_trial, sweep, trial_from_result
 from repro.analysis.tables import build_table1
 from repro.cli import build_parser, plan_from_args
 from repro.graphs.generators import make_family_graph
 from repro.plan import PLAN_VERSION, ensure_plan
+from repro.service.executor import solve_payload
 from repro.sim.batch import iter_trials, run_trials
+from repro.sim.errors import MaxRoundsExceededError
+from repro.sweeps.runner import execute_trial
 
 #: The pinned canonical serialization (see RunPlan.to_json).  If this
 #: golden string moves, every committed artifact config block and every
@@ -425,14 +429,29 @@ class TestEnsurePlanShim:
                 "sleeping",
                 plan=RunPlan(algorithm="luby"),
             )
-        # run_trial tolerates a *matching* positional algorithm; sweep
-        # treats any loose algorithm next to plan= as a clash.
-        result, trial = run_trial(
-            make_family_graph("gnp-sparse", 8, seed=0),
-            "luby",
-            plan=RunPlan(algorithm="luby"),
-        )
-        assert trial.valid
+        # One rule everywhere: any positional algorithm next to plan= is
+        # a clash, even one naming the plan's own algorithm.
+        with pytest.raises(ValueError, match=r"plan\.replace\(algorithm="):
+            run_trial(
+                make_family_graph("gnp-sparse", 8, seed=0),
+                "luby",
+                plan=RunPlan(algorithm="luby"),
+            )
+        # A positional value equal to the signature's old default must
+        # clash too, or the plan's luby runs silently.
+        with pytest.raises(ValueError, match=r"plan\.replace\(algorithm="):
+            solve_mis(
+                make_family_graph("gnp-sparse", 8, seed=0),
+                "fast-sleeping",
+                plan=RunPlan(algorithm="luby"),
+            )
+        with pytest.raises(ValueError, match=r"plan\.replace\(algorithm="):
+            run_trials(
+                make_family_graph("gnp-sparse", 8, seed=0),
+                "fast-sleeping",
+                seeds=[0],
+                plan=RunPlan(algorithm="luby"),
+            )
         with pytest.raises(ValueError, match="plan= and explicit knob"):
             sweep("luby", sizes=(8,), plan=plan, trials=1)
         assert sweep(sizes=(8,), plan=plan, trials=1)
@@ -501,6 +520,64 @@ class TestPlanLegacyEquivalence:
             algorithms=("luby", "sleeping"),
         )
         assert legacy.rows == planned.rows
+
+    @pytest.mark.parametrize("engine", ["generators", "vectorized"])
+    @pytest.mark.parametrize(
+        "algorithm, protocol_kwargs",
+        [
+            ("fast-sleeping", {"greedy_constant": 12}),
+            ("luby", {"max_phases": 500}),
+        ],
+    )
+    def test_every_entry_point_gives_one_row(
+        self, engine, algorithm, protocol_kwargs
+    ):
+        """One family plan, five entry points, one Trial row: every knob
+        (dtype, rng, a protocol kwarg, max_rounds) reaches the engine the
+        same way whichever entry point runs the trial."""
+        plan = RunPlan(
+            algorithm=algorithm, family="gnp-sparse", n=48, engine=engine,
+            rng="batched", result="arrays", dtype="narrow",
+            max_rounds=10**9, protocol_kwargs=protocol_kwargs,
+        )
+        seed = 11
+        graph = plan.build_graph(seed)
+        seeded = plan.replace(seed=seed)
+        rows = [
+            trial_from_result(
+                solve_mis(graph, plan=seeded), algorithm,
+                family=plan.family, seed=seed,
+            ),
+            run_trial(graph, plan=seeded, family=plan.family)[1],
+            trial_from_result(
+                run_trials(graph, seeds=[seed], plan=plan)[0], algorithm,
+                family=plan.family, seed=seed,
+            ),
+        ]
+        rows = [dataclasses.asdict(row) for row in rows] + [
+            execute_trial(plan, seed)["row"],
+            solve_payload(plan, seed)["row"],
+        ]
+        assert rows[0]["valid"] and rows[0]["undecided"] == 0
+        assert all(row == rows[0] for row in rows[1:])
+
+
+class TestMaxRoundsReachesEveryEntryPoint:
+    """``plan.max_rounds`` caps the run whichever entry point runs it
+    (``run_trial`` used to drop it and finish the run)."""
+
+    @pytest.mark.parametrize("engine", ["generators", "vectorized"])
+    def test_round_cap_raises(self, engine):
+        graph = nx.gnp_random_graph(200, 0.05, seed=1)
+        plan = RunPlan(algorithm="luby", max_rounds=2, engine=engine)
+        with pytest.raises(MaxRoundsExceededError):
+            solve_mis(graph, plan=plan)
+        with pytest.raises(MaxRoundsExceededError):
+            run_trial(graph, plan=plan)
+        with pytest.raises(MaxRoundsExceededError):
+            run_trials(graph, seeds=[0], plan=plan)
+        # The uncapped plan finishes on the same graph.
+        assert run_trial(graph, plan=plan.replace(max_rounds=None))[1].valid
 
 
 @dataclasses.dataclass(frozen=True)
