@@ -10,10 +10,11 @@ claim-TTL default has to dominate.
 
 The measured wall clocks size two defaults in :mod:`repro.sweeps`:
 
-* ``runner.CLAIM_WINDOW_PER_WORKER`` -- the bounded submission window
-  (claims held in flight per worker).  Trial execution dominates
-  submission latency by orders of magnitude, so a window of 2 (one
-  running, one queued per worker) already keeps every worker fed.
+* ``repro.workers.WINDOW_PER_WORKER`` -- the bounded submission window
+  of the package's one worker pool (claims held in flight per worker
+  when ``run_sweep`` fans out).  Trial execution dominates submission
+  latency by orders of magnitude, so a window of 2 (one running, one
+  queued per worker) already keeps every worker fed.
 * ``frontier.DEFAULT_CLAIM_TTL`` -- a claim's lease is ~1 ms of disk
   bookkeeping, while the TTL is 15 minutes: expiry can never race the
   lease machinery itself, only a genuinely dead worker.

@@ -40,7 +40,10 @@ on whatever machine last ran ``--write``; CI runners are slower and
 noisier), so the gate compares **calibrated units**: each measurement is
 divided by the time a fixed CPU workload (Python-loop + numpy passes,
 mirroring the engines' profile) takes in the same process.  Each
-measurement is best-of-3.
+measurement is best-of-3, and so is each calibration reading; the
+calibration is the median of readings taken before, between and after
+the measurements, so one unlucky reading (a single up-front one moved
+every unit by up to ~40%) no longer scales the whole baseline.
 
 Usage::
 
@@ -56,6 +59,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -149,16 +153,20 @@ def _plans() -> dict:
     }
 
 
-def _measurements(plans: dict) -> dict:
+def _measurements(plans: dict, calibrations: list) -> dict:
+    """Raw seconds per measurement name; appends a :func:`_calibrate`
+    reading to ``calibrations`` before, between and after them."""
     from repro.analysis.complexity import sweep
     from repro.analysis.tables import build_table1
 
     # Warm imports and caches before timing anything.
     build_table1(sizes=(64,), trials=1, algorithms=("luby",))
+    calibrations.append(_calibrate())
     gnp_1e6 = _best_phases(
         plans["gnp_1e6_sampler_batched"].build_graph,
         ("sample", "csr_build"),
     )
+    calibrations.append(_calibrate())
     sleeping_1e5 = _best_phases(
         lambda: sweep(
             plan=plans["sleeping_1e5_arrays"],
@@ -166,32 +174,28 @@ def _measurements(plans: dict) -> dict:
         ),
         ("engine",),
     )
+    calibrations.append(_calibrate())
 
+    def sweep_1e4(name):
+        return lambda: sweep(
+            plan=plans[name], sizes=(10_000,), trials=2, seed0=11,
+        )
+
+    timed = {
+        "table1_auto": lambda: build_table1(
+            sizes=(300,), plan=plans["table1_auto"], trials=10, seed0=1,
+            algorithms=("luby", "greedy", "sleeping", "fast-sleeping"),
+        ),
+        "sleeping_1e4_batched": sweep_1e4("sleeping_1e4_batched"),
+        "luby_1e4_batched": sweep_1e4("luby_1e4_batched"),
+        "ghaffari_1e4_batched": sweep_1e4("ghaffari_1e4_batched"),
+    }
+    measured = {}
+    for name, fn in timed.items():
+        measured[name] = _best_of(fn)
+        calibrations.append(_calibrate())
     return {
-        "table1_auto": _best_of(
-            lambda: build_table1(
-                sizes=(300,), plan=plans["table1_auto"], trials=10, seed0=1,
-                algorithms=("luby", "greedy", "sleeping", "fast-sleeping"),
-            )
-        ),
-        "sleeping_1e4_batched": _best_of(
-            lambda: sweep(
-                plan=plans["sleeping_1e4_batched"],
-                sizes=(10_000,), trials=2, seed0=11,
-            )
-        ),
-        "luby_1e4_batched": _best_of(
-            lambda: sweep(
-                plan=plans["luby_1e4_batched"],
-                sizes=(10_000,), trials=2, seed0=11,
-            )
-        ),
-        "ghaffari_1e4_batched": _best_of(
-            lambda: sweep(
-                plan=plans["ghaffari_1e4_batched"],
-                sizes=(10_000,), trials=2, seed0=11,
-            )
-        ),
+        **measured,
         "sleeping_1e5_arrays": sleeping_1e5["wall"],
         "sleeping_1e5_engine": sleeping_1e5["engine"],
         "gnp_1e6_sampler_batched": gnp_1e6["wall"],
@@ -213,9 +217,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     plans = _plans()
-    calibration = _calibrate()
-    print(f"{'calibration':24s} {calibration:8.3f}s")
-    raw = {k: round(v, 3) for k, v in _measurements(plans).items()}
+    calibrations: list = []
+    raw = {
+        k: round(v, 3) for k, v in _measurements(plans, calibrations).items()
+    }
+    calibration = statistics.median(calibrations)
+    print(f"{'calibration':24s} {calibration:8.3f}s  (median of "
+          f"{', '.join(f'{c:.3f}' for c in calibrations)})")
     units = {k: round(v / calibration, 3) for k, v in raw.items()}
     for key in raw:
         print(f"{key:24s} {raw[key]:8.3f}s  = {units[key]:7.3f} units")

@@ -15,9 +15,12 @@ into a traffic-serving system:
 * :mod:`~repro.service.executor` -- the worker-side solve/table1
   functions, reusing :class:`~repro.sim.fast_engine.EngineScratch` and
   sampled graphs across requests;
-* :mod:`~repro.service.pool` -- the bounded process-pool worker tier:
-  kill-isolated workers (one SIGKILLed worker fails one request, not
-  the pool), queue-depth backpressure, automatic respawn;
+* :mod:`repro.workers` -- the package's one process pool, re-exported
+  here (``WorkerPool``, ``PoolJob``, ``PoolSaturated``): kill-isolated
+  workers (one SIGKILLed worker fails one request, not the pool),
+  queue-depth backpressure, automatic respawn.  The service submits
+  :func:`~repro.service.executor.run_task` to it and maps a task's
+  exception to a ``solve_failed`` envelope;
 * :mod:`~repro.service.reaper` -- the deadline reaper killing runaway
   jobs;
 * :mod:`~repro.service.routes` / :mod:`~repro.service.app` -- the
@@ -30,11 +33,11 @@ See ``docs/service.md`` for the endpoint reference and the
 cache/backpressure/reaper invariants.
 """
 
+from ..workers import PoolJob, PoolSaturated, WorkerPool
 from .app import MISService, ServiceHandle, serve, start_service_thread
 from .cache import ResultCache
 from .client import ServiceClient, ServiceError, ServiceUnreachable
 from .executor import FAULT_ENV, payload_to_response, solve_payload, table1_payload
-from .pool import PoolJob, PoolSaturated, WorkerPool
 from .reaper import Reaper
 from .schema import (
     ERROR_CODES,

@@ -22,8 +22,8 @@ import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
+from ..workers import WorkerPool
 from .cache import ResultCache
-from .pool import WorkerPool
 from .reaper import Reaper
 from .routes import dispatch
 from .schema import SERVICE_VERSION, JobStatus

@@ -1,6 +1,6 @@
 """Worker-side execution: the functions that actually solve.
 
-These run inside pool worker *processes* (:mod:`repro.service.pool`),
+These run inside pool worker *processes* (:mod:`repro.workers`),
 which live across requests -- so this module keeps the two warm-state
 pools the per-invocation CLI can never have:
 
@@ -28,7 +28,7 @@ import signal
 import time
 from collections import OrderedDict
 from dataclasses import asdict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..plan import RunPlan
 from ..sim.fast_engine import EngineScratch
@@ -163,7 +163,8 @@ def table1_to_response(payload: Dict[str, Any]) -> Table1Response:
 
 
 def run_task(kind: str, task: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-process dispatch: ``(kind, serialized task) -> payload``.
+    """Worker-process dispatch: ``(kind, serialized task) -> payload``;
+    the callable the service submits to its :class:`~repro.workers.WorkerPool`.
 
     Tasks cross the pipe as plain JSON-ready dicts (plans serialized, so
     workers re-validate via :meth:`RunPlan.from_dict` -- the same

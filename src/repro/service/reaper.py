@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 
-from .pool import WorkerPool
+from ..workers import WorkerPool
 
 
 class Reaper:

@@ -24,13 +24,12 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..plan import RunPlan
 from ..sweeps.manifest import SweepManifest
+from ..workers import PoolSaturated
 from .cache import solve_cache_key, table1_cache_key
-from .executor import payload_to_response, table1_to_response
-from .pool import PoolSaturated
+from .executor import payload_to_response, run_task, table1_to_response
 from .schema import (
     SERVICE_VERSION,
     ErrorEnvelope,
-    JobStatus,
     SchemaError,
     SolveRequest,
     SweepRequest,
@@ -77,8 +76,13 @@ def _ok(body_bytes: bytes, headers: Optional[Dict[str, str]] = None) -> Response
 
 
 def _outcome_error(outcome: Tuple) -> Response:
-    """Map a pool job's ``("error", code, message)`` outcome to a response."""
-    _, code, message = outcome[:3]
+    """Map a failed pool job's outcome to a response: a task that raised
+    is ``solve_failed`` with its ``"{type}: {msg}"`` text, a pool-level
+    ``("error", code, message)`` keeps its code."""
+    if outcome[0] == "raised":
+        code, message = "solve_failed", outcome[2]
+    else:
+        _, code, message = outcome
     if code not in CODE_STATUS:  # pragma: no cover - defensive
         code, message = "internal", f"{code}: {message}"
     response = _error(code, message)
@@ -127,6 +131,7 @@ async def _solve_sync(
         return _ok(cached, {"X-Repro-Cache": "hit"})
     try:
         outcome = await service.pool.submit_async(
+            run_task,
             "solve",
             {"plan": plan.to_dict(), "seed": seed},
             deadline_s=deadline_s,
@@ -185,6 +190,7 @@ async def _handle_table1(service: "MISService", body: bytes) -> Response:
             return _ok(cached, {"X-Repro-Cache": "hit"})
         try:
             outcome = await service.pool.submit_async(
+                run_task,
                 "table1",
                 {
                     "plan": plan.to_dict(),

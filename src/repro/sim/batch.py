@@ -33,21 +33,22 @@ naive sequential calls:
   builds in bounded transient memory: the v2 sampler streams its pair
   chunks through :meth:`GraphArrays.from_distinct_pair_chunks` instead
   of buffering them -- see docs/performance.md, "Scaling to 10^7").
-  With ``n_jobs`` workers, ``(graph, plan, seeds)`` chunks fan out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` with a bounded
-  in-flight window; graphs cross process boundaries as normalized
-  adjacency dicts or as :class:`GraphArrays` whose edge arrays pickle
-  without the (lazily rebuilt) adjacency dict.  If a pool cannot be
-  started (restricted sandboxes), the runner degrades to sequential
-  execution for the remaining seeds instead of failing; CI additionally
-  pins ``n_jobs=2`` parity with the sequential path on a multi-core
-  runner.
+  With ``n_jobs`` workers, ``(graph, plan, seeds)`` chunks fan out over
+  the package's one process pool (:class:`repro.workers.WorkerPool`,
+  through its bounded in-flight window :meth:`~repro.workers.WorkerPool.ordered`);
+  graphs cross process boundaries as normalized adjacency dicts or as
+  :class:`GraphArrays` whose edge arrays pickle without the (lazily
+  rebuilt) adjacency dict.  A trial that raises in a worker re-raises
+  its own exception here.  If the pool cannot be started (restricted
+  sandboxes) or a worker dies, the runner degrades to sequential
+  execution for the remaining seeds instead of failing;
+  ``tests/test_parallel_parity.py`` pins ``n_jobs=2`` and the degrade
+  path bit-identical to the sequential path.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -384,35 +385,47 @@ def _iter_trials_planned(
     if not seed_list:
         return
     vectorized = plan.resolved_engine == "vectorized"
-    jobs = _effective_jobs(plan.n_jobs, len(seed_list))
+    # RunPlan validation guarantees n_jobs is None or >= 1.
+    jobs = min(plan.n_jobs or 1, len(seed_list))
     if jobs > 1:
-        from concurrent.futures.process import BrokenProcessPool
+        from ..workers import WINDOW_PER_WORKER, WorkerPool
 
         done = 0
         try:
-            # Workers build their chunk's GraphArrays themselves, so the
-            # driver only normalizes.
-            chunks = _iter_chunks(
-                _iter_graphs(graph_factory, seed_list, vectorized=False),
-                plan,
-                target=max(1, len(seed_list) // (jobs * 4) or 1),
-            )
-            for one in _iter_parallel(chunks, jobs):
-                done += 1
-                yield one
-            return
-        except (OSError, ImportError, BrokenProcessPool) as exc:
-            # Pool could not start, or its workers were killed before
-            # producing results (sandboxes commonly allow the former and
-            # forbid the latter) -- degrade to sequential execution for
-            # whatever seeds have not been yielded yet.
-            warnings.warn(
-                f"process pool unavailable ({exc}); running the remaining "
-                f"{len(seed_list) - done} trial(s) sequentially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            seed_list = seed_list[done:]
+            pool = WorkerPool(workers=jobs, max_queue=WINDOW_PER_WORKER * jobs)
+        except OSError as exc:
+            lost: Optional[str] = str(exc)
+        else:
+            with pool:
+                lost = None
+                # Workers build their chunk's GraphArrays themselves, so
+                # the driver only normalizes.
+                chunks = _iter_chunks(
+                    _iter_graphs(graph_factory, seed_list, vectorized=False),
+                    plan,
+                    target=max(1, len(seed_list) // (jobs * 4) or 1),
+                )
+                calls = ((None, _run_chunk, (chunk,)) for chunk in chunks)
+                for _, outcome in pool.ordered(calls):
+                    if outcome[0] == "raised":
+                        raise outcome[1]
+                    if outcome[0] == "error":  # a worker died
+                        lost = outcome[2]
+                        break
+                    for one in outcome[1]:
+                        done += 1
+                        yield one
+            if lost is None:
+                return
+        # The pool could not start (sandboxes) or a worker died: degrade
+        # to in-process execution for whatever seeds were not yielded.
+        warnings.warn(
+            f"process pool unavailable ({lost}); running the remaining "
+            f"{len(seed_list) - done} trial(s) sequentially",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        seed_list = seed_list[done:]
 
     scratch = EngineScratch() if vectorized else None
     for graph, seed in _iter_graphs(graph_factory, seed_list, vectorized):
@@ -449,15 +462,6 @@ def run_trials(
     )
 
 
-def _effective_jobs(n_jobs: Optional[int], n_tasks: int) -> int:
-    # RunPlan validation guarantees n_jobs is None or >= 1 by the time
-    # it reaches here (0/negative requests are rejected at construction
-    # with an error naming the fix).
-    if n_jobs is None or n_jobs == 1:
-        return 1
-    return min(n_jobs, n_tasks)
-
-
 def _iter_chunks(
     graph_seed_iter: Iterator[Tuple[Any, Optional[int]]],
     plan: "RunPlan",
@@ -483,29 +487,3 @@ def _iter_chunks(
         chunk_seeds.append(seed)
     if chunk_seeds:
         yield chunk_graph, plan, chunk_seeds
-
-
-#: In-flight chunks per worker in the bounded submission window.  Two per
-#: worker keeps every worker fed (one running, one queued) while bounding
-#: driver-side memory to ``2 * jobs`` pending chunk results; the
-#: ``BENCH_sweep_scaling.json`` measurement showed no throughput gain from
-#: deeper windows (trial wall time dominates submission latency), so the
-#: minimum that avoids worker starvation is the default.
-INFLIGHT_CHUNKS_PER_WORKER = 2
-
-
-def _iter_parallel(chunks: Iterator[Tuple], jobs: int) -> Iterator[ResultLike]:
-    """Fan chunks out over a process pool with a bounded in-flight window,
-    yielding results in submission (= seed) order."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending: deque = deque()
-        for chunk in chunks:
-            pending.append(pool.submit(_run_chunk, chunk))
-            while len(pending) >= jobs * INFLIGHT_CHUNKS_PER_WORKER:
-                for result in pending.popleft().result():
-                    yield result
-        while pending:
-            for result in pending.popleft().result():
-                yield result

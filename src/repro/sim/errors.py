@@ -2,7 +2,9 @@
 
 Every error raised by :mod:`repro.sim` derives from :class:`SimulationError`
 so callers can catch simulator problems with a single ``except`` clause while
-still distinguishing the specific failure mode when they need to.
+still distinguishing the specific failure mode when they need to.  Every
+class round-trips through :mod:`pickle` with its attributes, so an error
+raised in a pool worker re-raises in the caller as itself.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ class CongestViolationError(SimulationError):
             f"exceeding the CONGEST limit of {limit} bits"
         )
 
+    def __reduce__(self):
+        return type(self), (self.sender, self.recipient, self.bits, self.limit)
+
 
 class MaxRoundsExceededError(SimulationError):
     """The simulation did not terminate within ``max_rounds`` rounds."""
@@ -45,3 +50,6 @@ class MaxRoundsExceededError(SimulationError):
             f"simulation exceeded {max_rounds} rounds with "
             f"{unfinished} node(s) still unfinished"
         )
+
+    def __reduce__(self):
+        return type(self), (self.max_rounds, self.unfinished)

@@ -13,19 +13,25 @@ Execution rides the exact measurement path of
 manifest sweep's merged rows are bit-identical to a plain ``sweep()``
 call over the same grid.
 
-Parallel execution (``n_jobs > 1``) fans claimed trials over a
-``concurrent.futures`` process pool with a bounded in-flight window, the
-same degrade-to-sequential story as :mod:`repro.sim.batch`: a pool that
-cannot start (sandboxes) or dies mid-flight (a SIGKILLed worker breaks
-the whole ``ProcessPoolExecutor``) releases the in-flight claims and
-falls back to in-process execution -- nothing is lost either way,
-because un-recorded claims simply expire and re-issue.
+Parallel execution (``n_jobs > 1``) submits ``execute_trial(plan,
+seed)`` for each claimed trial to the package's one process pool
+(:class:`repro.workers.WorkerPool`) through its bounded in-flight window
+(:meth:`~repro.workers.WorkerPool.ordered`), so at most
+``WINDOW_PER_WORKER`` claims per worker are outstanding.  A trial that
+raises is ``fail``-ed with its ``"{type}: {msg}"`` text; a worker that
+dies mid-trial (SIGKILL, OOM) fails only that trial, with the pool's
+``worker_killed`` message -- the pool respawns the worker, every other
+in-flight trial keeps running, and the next ``run_sweep`` re-issues the
+failure (``retry_failed=True``).  Only a pool that cannot start at all
+(sandboxes) degrades to in-process execution, with a
+``RuntimeWarning``.
 
 Fault injection (for the crash-resume test harness and the CI
 kill/resume step) is driven by the ``REPRO_SWEEP_FAULT`` environment
 variable -- ``raise:<key substring>`` raises inside the matching trial,
 ``sigkill:<key substring>`` SIGKILLs the executing process (a pool
-worker under ``n_jobs > 1``, the driver itself otherwise), and
+worker under ``n_jobs > 1`` -- the trial fails and the driver carries
+on -- the driver itself otherwise), and
 ``driver-sigkill:<k>`` SIGKILLs the driver after ``k`` completions --
 plus an in-process ``fault_hook`` callable for tests that want a spy or
 a one-shot exception without touching the environment.
@@ -39,9 +45,8 @@ import signal
 import socket
 import time
 import warnings
-from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..plan import RunPlan
 from .frontier import TrialFrontier
@@ -98,12 +103,6 @@ def execute_trial(plan: RunPlan, seed: int) -> Dict[str, Any]:
         "row": asdict(row),
         "wall_clock_s": time.perf_counter() - start,
     }
-
-
-def _pool_execute(payload: Tuple[str, str, int]) -> Dict[str, Any]:
-    """Process-pool task: ``(key, plan_json, seed)`` -> result payload."""
-    _, plan_json, seed = payload
-    return execute_trial(RunPlan.from_json(plan_json), seed)
 
 
 @dataclass
@@ -203,33 +202,62 @@ def run_sweep(
         if kill_after is not None and report.completed >= kill_after:
             os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover
 
-    def record_failure(key: str, exc: BaseException) -> None:
-        message = f"{type(exc).__name__}: {exc}"
+    def record_failure(key: str, message: str) -> None:
         frontier.fail(key, message, worker=worker)
         report.failed += 1
         report.errors.append(f"{key}: {message}")
 
-    jobs = 1 if n_jobs is None else n_jobs
-    degraded = False
-    if jobs > 1:
-        degraded = not _run_parallel(
-            frontier, worker, jobs, report, fault_hook,
-            out_of_budget, out_of_trials, record, record_failure,
-        )
-    if jobs == 1 or degraded:
+    def claims() -> Iterator[TrialSpec]:
+        # Under a pool this is drawn lazily by its window: a claim is
+        # taken only when a slot is free.
         while not out_of_budget() and not out_of_trials():
             spec = frontier.claim(worker)
             if spec is None:
-                break
+                return
             report.executed += 1
             try:
                 if fault_hook is not None:
                     fault_hook(spec)
+            except Exception as exc:
+                record_failure(spec.key, f"{type(exc).__name__}: {exc}")
+            else:
+                yield spec
+
+    pool = None
+    if n_jobs is not None and n_jobs > 1:
+        from ..workers import WINDOW_PER_WORKER, WorkerPool
+
+        try:
+            pool = WorkerPool(
+                workers=n_jobs, max_queue=WINDOW_PER_WORKER * n_jobs
+            )
+        except OSError as exc:
+            warnings.warn(
+                f"process pool unavailable ({exc}); running sequentially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    if pool is None:
+        for spec in claims():
+            try:
                 payload = execute_trial(spec.plan, spec.seed)
             except Exception as exc:
-                record_failure(spec.key, exc)
+                record_failure(spec.key, f"{type(exc).__name__}: {exc}")
             else:
                 record(spec.key, payload)
+    else:
+        with pool:
+            calls = (
+                (spec.key, execute_trial, (spec.plan, spec.seed))
+                for spec in claims()
+            )
+            for key, outcome in pool.ordered(calls):
+                if outcome[0] == "ok":
+                    record(key, outcome[1])
+                elif outcome[0] == "raised":
+                    record_failure(key, outcome[2])
+                else:  # the worker died; the pool respawned it
+                    record_failure(key, f"{outcome[1]}: {outcome[2]}")
     report.budget_exhausted = out_of_budget()
     report.remaining = sum(
         1 for key in frontier.manifest.keys()
@@ -237,102 +265,6 @@ def run_sweep(
     )
     report.wall_clock_s = time.monotonic() - start
     return report
-
-
-#: In-flight claims per worker in the bounded submission window.  Each
-#: pending entry is a *claimed* trial, so the window also bounds how many
-#: leases a dying driver can leave behind.  Sized from the
-#: ``BENCH_sweep_scaling.json`` measurement: trial execution dominates
-#: claim/submit latency (a claim cycle is ~0.3 ms of disk bookkeeping),
-#: so two per worker -- one running, one queued -- already keeps every
-#: worker fed, and deeper windows only add orphanable leases.
-CLAIM_WINDOW_PER_WORKER = 2
-
-
-def _run_parallel(
-    frontier: TrialFrontier,
-    worker: str,
-    jobs: int,
-    report: SweepReport,
-    fault_hook: Optional[Callable[[TrialSpec], None]],
-    out_of_budget: Callable[[], bool],
-    out_of_trials: Callable[[], bool],
-    record: Callable[[str, Dict[str, Any]], None],
-    record_failure: Callable[[str, BaseException], None],
-) -> bool:
-    """The bounded-window pool loop; ``False`` means "degrade to
-    sequential for whatever is still pending" (claims released)."""
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-    except ImportError as exc:  # pragma: no cover - stdlib always has it
-        warnings.warn(
-            f"process pool unavailable ({exc}); running sequentially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return False
-    pending: deque = deque()  # (key, future)
-
-    def drain_one() -> None:
-        key, future = pending.popleft()
-        try:
-            payload = future.result()
-        except BrokenProcessPool:
-            # Put the popped entry back so the outer handler releases
-            # this trial's claim along with the rest of the window.
-            pending.appendleft((key, future))
-            raise
-        except Exception as exc:
-            record_failure(key, exc)
-        else:
-            record(key, payload)
-
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            while True:
-                spec = None
-                if not out_of_budget() and not out_of_trials():
-                    spec = frontier.claim(worker)
-                if spec is None:
-                    if not pending:
-                        return True
-                    drain_one()
-                    continue
-                report.executed += 1
-                try:
-                    if fault_hook is not None:
-                        fault_hook(spec)
-                except Exception as exc:
-                    record_failure(spec.key, exc)
-                    continue
-                pending.append(
-                    (
-                        spec.key,
-                        pool.submit(
-                            _pool_execute,
-                            (spec.key, spec.plan.to_json(), spec.seed),
-                        ),
-                    )
-                )
-                while len(pending) >= jobs * CLAIM_WINDOW_PER_WORKER:
-                    drain_one()
-    except (OSError, BrokenProcessPool) as exc:
-        # Pool could not start, or a worker was killed mid-trial (which
-        # breaks the whole executor).  Release the in-flight claims --
-        # their trials were not recorded, so they simply re-pend -- and
-        # let the caller fall back to in-process execution.
-        for key, _ in pending:
-            frontier.release(key)
-            report.executed -= 1
-        warnings.warn(
-            f"process pool died ({type(exc).__name__}: {exc}); released "
-            f"{len(pending)} in-flight claim(s) and degrading to "
-            f"sequential execution",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return False
 
 
 def merged_rows(frontier: TrialFrontier) -> Dict[str, Dict[str, Any]]:

@@ -4,11 +4,14 @@ Promoted from a CI-only smoke step into a real tier-1 test: the batch
 runner's worker-pool path must produce *exactly* the rows and result
 columns the sequential path produces -- across both engines and both RNG
 stream formats -- because parallelism is a scheduling knob, never a
-measurement knob.  Skipped on single-CPU runners (the dev container),
-where a process pool adds nothing but flake surface; CI runners have the
-cores and run it every push.
+measurement knob.  The same parity holds when the pool cannot start at
+all (process start raises ``OSError``, as in restricted sandboxes): the
+runners warn and degrade to in-process execution.  Skipped on single-CPU
+runners, where a process pool adds nothing but flake surface; CI runners
+have the cores and run it every push.
 """
 
+import multiprocessing.process
 import os
 
 import numpy as np
@@ -105,3 +108,34 @@ def test_sweep_frontier_parallel_parity(tmp_path):
     report = run_sweep(par, n_jobs=2)
     assert report.all_done and report.executed == len(manifest)
     assert merged_result_json(par) == merged_result_json(seq)
+
+
+@pytest.fixture
+def refuse_process_start(monkeypatch):
+    """Every worker process start fails, as in a sandbox without fork."""
+
+    def refuse(self):
+        raise OSError("process start refused")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+
+
+@pytest.mark.parametrize("engine,rng", ENGINE_RNG)
+def test_degraded_pool_sweep_rows_bit_identical(
+    engine, rng, refuse_process_start
+):
+    with pytest.warns(RuntimeWarning, match="pool unavailable"):
+        test_sweep_rows_bit_identical(engine, rng)
+
+
+@pytest.mark.parametrize("engine,rng", ENGINE_RNG)
+def test_degraded_pool_run_trials_bit_identical(
+    engine, rng, refuse_process_start
+):
+    with pytest.warns(RuntimeWarning, match="pool unavailable"):
+        test_run_trials_results_bit_identical(engine, rng)
+
+
+def test_degraded_pool_sweep_frontier_parity(tmp_path, refuse_process_start):
+    with pytest.warns(RuntimeWarning, match="pool unavailable"):
+        test_sweep_frontier_parallel_parity(tmp_path)

@@ -183,27 +183,31 @@ def test_sigkilled_driver_resumes_bit_identical(
 def test_sigkilled_pool_worker_resumes_bit_identical(
     manifest, baseline_json, tmp_path
 ):
-    """SIGKILL a pool worker process mid-trial; resume is bit-identical.
+    """SIGKILL a pool worker process mid-trial; the driver survives.
 
-    The killed worker breaks the whole ``ProcessPoolExecutor``; the
-    driver releases the in-flight claims and degrades to sequential --
-    where the armed fault then SIGKILLs the driver itself on the same
-    trial, leaving a stale claim behind.  The resume (with an expired
-    lease) must still complete to the uninterrupted byte-for-byte result.
+    The pool isolates the death: the victim trial alone is recorded
+    failed with the pool's ``worker_killed`` message, the worker is
+    respawned, and every other trial completes in the same run.  A
+    resume without the fault re-issues exactly the victim and lands the
+    uninterrupted byte-for-byte result.
     """
     victim = manifest.keys()[2]
     sweep_dir = tmp_path / "s"
     proc = _run_driver(sweep_dir, f"sigkill:{victim}", n_jobs=2)
-    assert proc.returncode == -signal.SIGKILL, proc.stderr
-    assert "DRIVER-SURVIVED" not in proc.stdout
+    assert proc.returncode == 0, proc.stderr
+    assert "DRIVER-SURVIVED" in proc.stdout
 
-    # The dead driver's claim on the victim trial is still on disk;
-    # a zero-TTL resume expires the lease and re-issues the trial.
-    resumed = TrialFrontier.open(sweep_dir, manifest, claim_ttl=0.0)
-    assert resumed.state(victim) in (PENDING, CLAIMED, DONE)
-    report = run_sweep(resumed)
-    assert report.all_done, resumed.status()
-    assert merged_result_json(resumed) == baseline_json
+    partial = TrialFrontier.open(sweep_dir, manifest)
+    states = partial.states()
+    assert states.pop(victim) == FAILED
+    assert set(states.values()) == {DONE}
+    failure = json.loads((sweep_dir / "failed" / f"{victim}.json").read_text())
+    assert failure["error"].startswith("worker_killed: ")
+
+    report = run_sweep(partial)
+    assert report.reissued_failed == 1
+    assert report.executed == 1 and report.all_done
+    assert merged_result_json(partial) == baseline_json
 
 
 def test_rerunning_completed_manifest_executes_nothing(manifest, tmp_path):
